@@ -36,9 +36,13 @@ CONC_TOL = 1e-7
 TDD_SLACK = 1e-11
 PRINT_SLACK = 1e-11
 PSD_TOL = -1e-10
-# A measurement angle this far inside (0, pi/2) is neither branch of the
-# closed form's min(d1, d2).
-INTERIOR = 1e-6
+# Fault signatures. F2 rows are the x = +2 sector alone: a pure product
+# state (0 bits) where the symmetric mixture has 1 bit of classical
+# correlation, which it holds to within exp(-gap/T), far below 1e-6 at the
+# T/J <= 0.0092 where the branch is taken. F3 is a rounding-size excess of
+# the closed form, documented up to 1.3e-9; anything larger is not F3.
+F2_MI_TOL = 1e-6
+F3_CAP = 1e-8
 
 FAULTS = ("F1", "F2", "F3")
 FAULT_TEXT = {
@@ -163,24 +167,32 @@ def row_masks(cols: dict, grid: np.ndarray, ref: dict) -> np.ndarray:
     return mask
 
 
-def attribute(mask: np.ndarray, grid: np.ndarray, ref: dict) -> np.ndarray:
-    """Fault label per row: "", one of FAULTS, or "other"."""
+def attribute(mask: np.ndarray, cols: dict, grid: np.ndarray, ref: dict) -> np.ndarray:
+    """Fault label per row: "", one of FAULTS, or "other". A label is given
+    only where the row fails the fault's checks alone and its values carry
+    the fault's signature."""
     labels = np.where(mask != 0, "other", "").astype(object)
-    reference_bits = ENTROPY | CONC | QD_HIGH | QD_LOW | TDD_LOW | TDD_HIGH
-    only = lambda bits: (mask != 0) & ((mask & ~bits) == 0)
     zero_field = grid[:, 2] == 0.0
-    # F2: the wrong state at h = 0 shows first in its entropies.
-    f2 = only(reference_bits) & zero_field & ((mask & ENTROPY) != 0)
-    interior = (ref["qd_theta"] > INTERIOR) & (ref["qd_theta"] < 0.5 * np.pi - INTERIOR)
-    f1 = only(QD_HIGH) & interior
-    f3 = only(TDD_HIGH)
-    for name, sel in (("F1", f1), ("F3", f3), ("F2", f2)):
+    with np.errstate(invalid="ignore"):
+        # F1: qd is the closed form's branch minimum, above the true minimum.
+        f1 = (mask == QD_HIGH) & (np.abs(cols["qd"] - ref["qd_branch"]) <= QD_TOL)
+        # F2: at h = 0, 0 bits where the reference has 1 bit.
+        f2 = (zero_field & (mask == ENTROPY)
+              & (np.abs(cols["mutual_info"]) <= ENTROPY_TOL)
+              & (np.abs(cols["entropy_ab"]) <= ENTROPY_TOL)
+              & (np.abs(ref["mutual_info"] - 1.0) <= F2_MI_TOL))
+        # F3: at h = 0, tdd above the dephasing bound by a rounding-size excess.
+        f3 = (zero_field & (mask == TDD_HIGH)
+              & (cols["tdd"] - ref["tdd_upper"] <= F3_CAP))
+    for name, sel in (("F1", f1), ("F2", f2), ("F3", f3)):
         labels[sel] = name
     return labels
 
 
 def check_csv(data: bytes, sweep, seed: int, grid: np.ndarray, ref: dict) -> CsvResult:
-    """Check one sweep's CSV bytes; a malformed file fails every row."""
+    """Check one sweep's CSV bytes; a malformed file fails every row. A
+    fault is attributed only on sweeps that list it in sweep.faults; on any
+    other sweep its rows count as "other"."""
     result = CsvResult(n_rows=sweep.n_rows())
     try:
         header, columns, table = read_csv(data)
@@ -193,9 +205,10 @@ def check_csv(data: bytes, sweep, seed: int, grid: np.ndarray, ref: dict) -> Csv
         return result
     cols = {c: table[:, columns.index(c)] for c in CSV_COLUMNS}
     mask = row_masks(cols, grid, ref)
-    labels = attribute(mask, grid, ref)
+    labels = attribute(mask, cols, grid, ref)
     failed = np.nonzero(mask)[0]
-    result.labels = {int(i): labels[i] for i in failed}
+    result.labels = {int(i): labels[i] if labels[i] in sweep.faults else "other"
+                     for i in failed}
     result.checks = {name: int(np.count_nonzero(mask & bit))
                      for bit, name in CHECK_NAMES.items() if np.any(mask & bit)}
     return result

@@ -165,7 +165,7 @@ def _cond_entropy(blk, theta, phi):
 def _min_over_theta(f, n):
     """Minimise f(theta), an (n, k) -> (n, k) map, over theta in [0, pi/2]
     for every row: grid, then golden-section search around the best grid
-    point. Returns (value, argmin)."""
+    point. Returns the minimum."""
     grid = np.linspace(0.0, 0.5 * np.pi, _THETA_GRID)
     vals = f(np.broadcast_to(grid, (n, grid.size)))
     k = np.argmin(vals, axis=1)
@@ -186,15 +186,14 @@ def _min_over_theta(f, n):
         f_new = f(x_new[:, None])[:, 0]
         x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-        better = f_new < best
-        best = np.where(better, f_new, best)
-        arg = np.where(better, x_new, arg)
-    return best, arg
+        best = np.minimum(best, f_new)
+    return best
 
 
 def discord(rho):
-    """(qd, theta_opt): discord with measurement on B, in bits, and the
-    optimal polar angle of the measurement axis, in [0, pi/2]."""
+    """(qd, qd_branch): discord with measurement on B, in bits, and the
+    smaller of its values for the axis-aligned measurements (z, and x or y),
+    which equals qd unless the optimal measurement angle is interior."""
     n = rho.shape[0]
     r4 = rho.reshape(n, 2, 2, 2, 2)
     b00, b11 = r4[:, :, 0, :, 0], r4[:, :, 1, :, 1]
@@ -207,13 +206,12 @@ def discord(rho):
     _, rb = marginals(rho)
     base = entropy_bits(np.linalg.eigvalsh(rb)) - entropy_bits(np.linalg.eigvalsh(rho))
     best = np.full(n, np.inf)
-    arg = np.zeros(n)
+    branch = np.full(n, np.inf)
+    ends = np.array([[0.0, 0.5 * np.pi]])
     for phi in _PHIS:
-        val, th = _min_over_theta(lambda th: _cond_entropy(blk, th, phi), n)
-        better = val < best
-        best = np.where(better, val, best)
-        arg = np.where(better, th, arg)
-    return base + best, arg
+        best = np.minimum(best, _min_over_theta(lambda th: _cond_entropy(blk, th, phi), n))
+        branch = np.minimum(branch, _cond_entropy(blk, ends, phi).min(axis=1))
+    return base + best, base + branch
 
 
 def _fano(rho):
@@ -270,7 +268,7 @@ def reference_table(coords) -> dict:
     for lo in range(0, coords.shape[0], _CHUNK):
         rho = thermal_states(*coords[lo:lo + _CHUNK].T)
         part = basic_measures(rho)
-        part["qd"], part["qd_theta"] = discord(rho)
+        part["qd"], part["qd_branch"] = discord(rho)
         part["tdd_lower"] = tdd_lower(rho)
         part["tdd_upper"] = tdd_upper(rho)
         for key, val in part.items():

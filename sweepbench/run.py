@@ -37,18 +37,13 @@ SETUP_REPS = 3
 SWEEP_SEED = 0
 MB = 1024.0 * 1024.0
 
-END_TO_END = {"setup_s": "s", "sweep_s": "s", "rows_per_s": "rows/s", "peak_rss_mb": "MB"}
-PER_LAYER = {
-    "import.s": "s", "sweep.spec_s": "s", "sweep.grid_coords_s": "s",
-    "sweep.run_sweep_s": "s", "sweep.executor_overhead_s": "s", "sweep.chunks": "count",
-    "sweep.run_sweep_alloc_peak_mb": "MB", "sweep.emit_csv_s": "s",
-    "sweep.csv_bytes": "bytes", "model.thermal_entries_grid_s": "s",
-    "model.rows": "count", "measures.x_state_measures_s": "s",
-    "measures.tdd_fallback_calls": "count", "oracle.qd_bruteforce_calls": "count",
-    "oracle.qd_bruteforce_s": "s", "oracle.tdd_bruteforce_calls": "count",
-    "oracle.tdd_bruteforce_s": "s", "oracle.kernel_calls": "count",
-    "oracle.kernel_s": "s", "trace.overhead_pct": "%",
-}
+
+def metric_units(path=os.path.join(os.path.dirname(HERE), "BENCHMARK.json")):
+    """({end-to-end name: unit}, {per-layer name: unit}) from BENCHMARK.json."""
+    with open(path, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return tuple({m["name"]: m["unit"] for m in spec[key]}
+                 for key in ("end_to_end", "per_layer"))
 
 
 class Bench:
@@ -204,6 +199,9 @@ def layer_totals(spans):
         "sweep.run_sweep_alloc_peak_mb": max(
             [s["alloc_peak_bytes"] / MB for s in spans if "alloc_peak_bytes" in s],
             default=0.0),
+        "sweep.worker_chunk_alloc_peak_mb": max(
+            [s["worker_alloc_peak_bytes"] / MB for s in spans
+             if "worker_alloc_peak_bytes" in s], default=0.0),
         "sweep.emit_csv_s": d("sweep.emit_csv"),
         "sweep.csv_bytes": sum(s.get("bytes", 0) for s in spans),
         "model.thermal_entries_grid_s": d("model.thermal_entries_grid"),
@@ -246,6 +244,7 @@ def run(args) -> int:
         print("error: run from the root of a diamondqc checkout (no src/diamondqc/cli.py)",
               file=sys.stderr)
         return 2
+    end_to_end_units, per_layer_units = metric_units()
     bench = Bench(root, args.workload, args.seed)
     setup = [] if args.trace else bench.setup_times()
     rounds, traced_rounds = [], []
@@ -276,20 +275,20 @@ def run(args) -> int:
         plain = _median(_round_walls(rounds))
         traced = _median(_round_walls([rnd for rnd, _ in traced_rounds]))
         values["trace.overhead_pct"] = 100.0 * (traced - plain) / plain
-        units = PER_LAYER
+        units = per_layer_units
         trace_path = os.path.join(bench.out, f"trace-{args.workload}-seed{args.seed}.json")
         with open(trace_path, "w", encoding="utf-8") as fh:
             json.dump([sp for _, spans in traced_rounds for sp in spans], fh)
     else:
         values = end_to_end(setup, rounds)
-        units = END_TO_END
+        units = end_to_end_units
     print("# sweep walls (s): " + " ".join(f"{r['wall']:.3f}" for r in records))
-    for name, value in values.items():
-        print(f"# {name} = {value:.6g} {units[name]}")
+    for name, unit in units.items():
+        print(f"# {name} = {values[name]:.6g} {unit}")
     print(f"# rows attempted = {attempted}, failed = {failed}")
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
-                      "metrics": {k: {"value": v, "unit": units[k]}
-                                  for k, v in values.items()}}))
+                      "metrics": {k: {"value": values[k], "unit": unit}
+                                  for k, unit in units.items()}}))
     return 0
 
 

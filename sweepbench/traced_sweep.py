@@ -30,6 +30,7 @@ class Tracer:
         self.pid = os.getpid()
         self.spans = []
         self.stack = []
+        self.worker_chunks = 0  # chunks run in this pool worker (0 in the parent)
 
     def wrap(self, name, fn, counts=None):
         """fn with a span; counts(result, args) adds numbers to the span."""
@@ -84,10 +85,26 @@ def _wrap_chunk(fn):
     def chunk(*args):
         if os.getpid() == TRACER.pid:
             return traced(*args)
-        if tracemalloc.is_tracing():  # inherited from the parent's run_sweep
+        # Tracing inherited from the parent's run_sweep is stopped. A
+        # worker's first chunk is traced afresh for its allocation peak;
+        # chunks are of equal size, and tracing every one of them would
+        # slow the workers by half.
+        if tracemalloc.is_tracing():
             tracemalloc.stop()
+        first = TRACER.worker_chunks == 0
+        TRACER.worker_chunks += 1
+        if first:
+            ALLOC.base = ALLOC.peak = 0
+            tracemalloc.start()
         start = len(TRACER.spans)
-        out = traced(*args)
+        try:
+            out = traced(*args)
+        finally:
+            if first:
+                ALLOC._fold()
+                tracemalloc.stop()
+        if first:
+            TRACER.spans[-1]["worker_alloc_peak_bytes"] = ALLOC.peak
         spans = TRACER.spans[start:]
         del TRACER.spans[start:]
         return _Carrier(out, spans)

@@ -30,13 +30,15 @@ class Axis:
 
 @dataclass(frozen=True)
 class Sweep:
-    """One CLI sweep: its label, how the CLI is told about it, and its grid."""
+    """One CLI sweep: its label, how the CLI is told about it, its grid and
+    the known faults of the program that fail rows on it."""
     label: str
     source: tuple          # ("preset", name, points) or ("config", text)
     fixed: dict
     axes: tuple
     workers: int = 1
     oracle_every: int = 0
+    faults: tuple = ()
 
     def coords(self) -> np.ndarray:
         """Row-major grid, one column per name in PARAMS."""
@@ -88,7 +90,9 @@ def _preset(name, points=DEFAULT_POINTS, label=None, **kw) -> Sweep:
                 Axis.linear("T_over_J", T_FLOOR, 2.0, points))
     else:
         raise ValueError(f"no such preset: {name}")
-    return Sweep(label or name, ("preset", name, points), fixed, axes, **kw)
+    # F1 (qd = min(d1, d2)) shows on the J0-T maps; the other presets fail no rows.
+    faults = ("F1",) if name in ("fig2a", "fig2c") else ()
+    return Sweep(label or name, ("preset", name, points), fixed, axes, faults=faults, **kw)
 
 
 _COLD_BOX = """\
@@ -112,17 +116,22 @@ n_points = 41
 
 
 def _cold_box() -> Sweep:
+    # Every 256th row gets an oracle spot check (7 in all): the only path
+    # into qd_bruteforce and its kernel. A fig3a sweep with 51 spot checks
+    # did this as a workload of its own, but its timings drifted by up to a
+    # quarter between sets of runs (see README.md).
     return Sweep("cold-box", ("config", _COLD_BOX),
                  {"gamma": 0.0, "h_over_J": 0.0, "Jz_over_J": 0.0},
                  (Axis.linear("J0_over_J", -2.0, 2.0, 41),
-                  Axis.linear("T_over_J", 0.002, 0.05, 41)))
+                  Axis.linear("T_over_J", 0.002, 0.05, 41)),
+                 oracle_every=256, faults=("F2", "F3"))
 
 
 def _workers() -> int:
     return max(1, min(2, len(os.sched_getaffinity(0))))
 
 
-WORKLOADS = ("presets", "fig2a-801", "cold-box", "oracle-spot")
+WORKLOADS = ("presets", "fig2a-801", "cold-box")
 
 
 def round_sweeps(workload: str, seed: int) -> list:
@@ -135,6 +144,4 @@ def round_sweeps(workload: str, seed: int) -> list:
         return [_preset("fig2a", 801, label="fig2a-801", workers=_workers())]
     if workload == "cold-box":
         return [_cold_box()]
-    if workload == "oracle-spot":
-        return [_preset("fig3a", label="fig3a-oracle", oracle_every=16)]
     raise ValueError(f"unknown workload {workload!r}; choose from {', '.join(WORKLOADS)}")
