@@ -8,7 +8,6 @@ matrix expressions drive the fast path; independent brute-force
 oracles (finite-chain contraction, measurement-grid discord search,
 classical-quantum pattern search) validate them.
 """
-from ._backend import available_backends, backend_name
 from .measures import (
     concurrence,
     correlation_report,
@@ -38,8 +37,6 @@ __all__ = [
     "ModelParams",
     "SweepSpec",
     "ThermalPoint",
-    "available_backends",
-    "backend_name",
     "concurrence",
     "correlation_report",
     "correlators",

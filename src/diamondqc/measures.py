@@ -1,10 +1,11 @@
 """Correlation measures for two-qubit X states.
 
 All entropies are in bits (base-2 logarithms). The discord closed form
-returns the minimum of its two measurement branches; the trace-distance
-discord closed form falls back to the numerical classical-quantum
-minimizer when its denominator degenerates (for example on Bell
-projectors, where the printed expression is 0/0).
+returns the minimum of its two measurement branches. The trace-distance
+discord closed form is 0/0 where its denominator vanishes (for example on
+Bell projectors); there all three correlation-matrix magnitudes |g_i|
+coincide and the value is |g1| exactly (Ciccarello, Tufarelli and
+Giovannetti, New J. Phys. 16, 013038, 2014).
 
 The batch entry point `x_state_measures` evaluates everything over
 broadcastable arrays of the six X-state entries; the scalar operations
@@ -91,14 +92,13 @@ def von_neumann_entropy(rho) -> float:
     return float(-_xlog2x(vals).sum())
 
 
-def x_state_measures(r11, r22, r33, r44, r14, r23, tdd_fallback: bool = True):
+def x_state_measures(r11, r22, r33, r44, r14, r23):
     """Every measure over broadcastable arrays of X-state entries.
 
     Returns a dict of arrays: qd, d1, d2, tdd, concurrence, mutual_info,
-    entropy_ab, entropy_a, eig_min, psd_flag. With tdd_fallback=True,
-    entries whose closed-form denominator degenerates are recomputed by
-    the classical-quantum minimizer (deterministic, seeded); pass False
-    to get NaN there instead.
+    entropy_ab, entropy_a, eig_min, psd_flag, plus the trace-distance
+    branch quantities. Entries whose trace-distance denominator
+    degenerates get tdd = |g1|.
 
     The discord branches assume the symmetric X family (r22 == r33); every
     thermal state produced by the model module satisfies this.
@@ -138,22 +138,13 @@ def x_state_measures(r11, r22, r33, r44, r14, r23, tdd_fallback: bool = True):
     gmax_sq = np.maximum(g3 * g3, g2 * g2 + xa3 * xa3)
     gmin_sq = np.minimum(g1 * g1, g3 * g3)
     den = gmax_sq - gmin_sq + g1 * g1 - g2 * g2
-    degenerate = np.abs(den) < _DEGENERATE_DEN
+    # den is a sum of two non-negative terms and, like the g_i squared, scales
+    # with the state's correlations (as beta^2 at high T), so the test is
+    # relative: below it every g_i^2 and xa3^2 agree to within 2 den.
+    degenerate = den <= _DEGENERATE_DEN * (g1 * g1 + gmax_sq)
     safe_den = np.where(degenerate, 1.0, den)
     num = np.maximum(g1 * g1 * gmax_sq - g2 * g2 * gmin_sq, 0.0)
-    tdd = np.sqrt(np.maximum(num / safe_den, 0.0))
-    tdd = np.where(degenerate, np.nan, tdd)
-    if tdd_fallback and degenerate.any():
-        from .oracle.cq_search import tdd_bruteforce
-        it = np.nditer(degenerate, flags=["multi_index"])
-        for flag in it:
-            if not flag:
-                continue
-            idx = it.multi_index
-            state = DimerDensityMatrix(float(r11[idx]), float(r22[idx]),
-                                       float(r33[idx]), float(r44[idx]),
-                                       float(r14[idx]), float(r23[idx]))
-            tdd[idx] = tdd_bruteforce(state, n_starts=8, seed=0)
+    tdd = np.where(degenerate, np.abs(g1), np.sqrt(np.maximum(num / safe_den, 0.0)))
 
     conc = 2.0 * np.maximum(0.0, np.maximum(
         np.abs(r14) - np.sqrt(np.maximum(r22 * r33, 0.0)),
@@ -194,8 +185,8 @@ def qd_x_state(rho):
 def tdd_x_state(rho) -> float:
     """Trace-distance discord closed form, in [0, 1].
 
-    Degenerate denominators (below 1e-12 in magnitude) fall back to the
-    numerical classical-quantum minimizer.
+    Where the denominator degenerates (at most 1e-12 of g1^2 + gmax^2)
+    the value is |g1|.
     """
     return _scalar_measures(rho)["tdd"]
 

@@ -16,11 +16,6 @@ exponent factored out, so temperatures down to T/J = 0.01 and large
 couplings stay inside the floating-point range.
 
 Every operation broadcasts over NumPy arrays; scalars in, scalars out.
-
-`correlators_alt` keeps a rejected closed-form candidate (an overall
-factor-of-two normalization difference plus two asymmetric prefactor
-pairings). It fails the independent finite-chain oracle and is retained
-only so the calibration report can document the discrepancy.
 """
 from __future__ import annotations
 
@@ -93,22 +88,30 @@ def _transfer(entries):
     """Scaled dominant eigenvalue and eigenvector of the transfer matrix.
 
     The eigenvector component lam - w(+2) is evaluated cancellation-free:
-    for w(+2) >= w(-2) it equals 2 w(0)^2 / (rad + w(+2) - w(-2)).
+    for w(+2) >= w(-2) it equals 2 w(0)^2 / (rad + w(+2) - w(-2)). When
+    w(0) underflows against the aligned sectors, the eigenvector is the
+    heavier aligned sector, or their symmetric mix on a tie (h = 0).
     """
     wp = entries[2.0][0] + 2.0 * entries[2.0][1] + entries[2.0][2]
     w0 = entries[0.0][0] + 2.0 * entries[0.0][1] + entries[0.0][2]
     wm = entries[-2.0][0] + 2.0 * entries[-2.0][1] + entries[-2.0][2]
-    diff = wp - wm
+    # At h = 0 the swap b11 <-> b44 maps x = +2 onto x = -2, so wp = wm, but
+    # the sums above may round an ulp apart, and such an ulp outweighs any
+    # smaller w0 in the eigenvector; (b11 + b44) + 2 b22 is exact under it.
+    tie = ((entries[2.0][0] + entries[2.0][2]) + 2.0 * entries[2.0][1]
+           == (entries[-2.0][0] + entries[-2.0][2]) + 2.0 * entries[-2.0][1])
+    diff = np.where(tie, 0.0, wp - wm)
     rad = np.hypot(diff, 2.0 * w0)
     lam = 0.5 * (wp + wm + rad)
     denom = rad + np.abs(diff)
     denom = np.where(denom > 0.0, denom, 1.0)
     gp = np.where(diff >= 0.0, 2.0 * w0 * w0 / denom, 0.5 * (rad - diff))
     norm = np.hypot(w0, gp)
-    deg = norm < 1e-150  # one aligned sector dominates completely
+    deg = norm < 1e-150
     safe_norm = np.where(deg, 1.0, norm)
-    v1 = np.where(deg, 1.0, w0 / safe_norm)
-    v2 = np.where(deg, 0.0, gp / safe_norm)
+    half = np.sqrt(0.5)
+    v1 = np.where(deg, np.where(diff == 0.0, half, diff > 0.0), w0 / safe_norm)
+    v2 = np.where(deg, np.where(diff == 0.0, half, diff < 0.0), gp / safe_norm)
     return lam, v1, v2
 
 
@@ -205,31 +208,3 @@ def thermal_entries_grid(j0, t, h, gamma, jz, j=1.0):
         raise ValueError("temperature grid must be finite and positive")
     return _entries_core(1.0 / ta, ja, ga, jza, j0a, ha)
 
-
-def correlators_alt(params: ModelParams, tp: ThermalPoint):
-    """Rejected closed-form candidate, kept for the calibration report.
-
-    Differences from `correlators`: the normalization uses twice the
-    transfer eigenvalue, the xx first term carries an extra field factor
-    the yy term lacks, the zz exponent pairing is swapped, and a single
-    gap argument Delta(1) replaces the per-sector gaps. Returns a plain
-    (xx, yy, zz, z) tuple; the values are not valid CorrelationSet
-    members in general. Moderate beta only (no overflow guard: this
-    variant exists purely for comparison).
-    """
-    beta = tp.beta
-    j, gamma, jz, j0, h = params.j, params.gamma, params.jz, params.j0, params.h
-    d1 = float(sector_gap(params, 1.0))
-    w2 = float(sector_weight(params, tp, 2.0))
-    w0 = float(sector_weight(params, tp, 0.0))
-    wm2 = float(sector_weight(params, tp, -2.0))
-    lam = w2 + wm2 + np.sqrt((w2 - wm2) ** 2 + 4.0 * w0 * w0)
-    eh = np.exp(0.5 * beta * h)
-    xx = eh * (0.5 * d1 * np.exp(-0.25 * beta * (2 * h + jz)) * np.sinh(0.5 * beta * j)
-               + 0.25 * j * gamma * np.exp(0.25 * beta * jz) * np.sinh(beta * d1)) / (d1 * lam)
-    yy = eh * (0.5 * d1 * np.exp(-0.25 * beta * jz) * np.sinh(0.5 * beta * j)
-               - 0.25 * j * gamma * np.exp(0.25 * beta * jz) * np.sinh(beta * d1)) / (d1 * lam)
-    zz = eh * (np.exp(0.25 * beta * jz) * np.cosh(0.5 * beta * j)
-               - np.exp(-0.25 * beta * jz) * np.cosh(beta * d1)) / (2.0 * lam)
-    z = np.exp(0.25 * beta * (2 * h + jz)) * np.sinh(beta * d1) * (j0 + h) / (d1 * lam)
-    return float(xx), float(yy), float(zz), float(z)

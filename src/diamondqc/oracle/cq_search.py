@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from .._backend import trace_norm_diff_batch
 from ..params import DimerDensityMatrix
 
 _PAULI = (
@@ -134,6 +133,14 @@ def trace_norm(delta) -> float:
     if np.abs(m - m.conj().T).max() > 1e-12:
         raise ValueError("matrix is not Hermitian")
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
+
+
+def trace_norm_diff_batch(rho: np.ndarray, chis: np.ndarray) -> np.ndarray:
+    """Schatten 1-norms ||rho - chis[k]||_1 for a stack of 4x4 Hermitian chis."""
+    rho = np.asarray(rho, dtype=complex)
+    chis = np.asarray(chis, dtype=complex)
+    diff = rho[None, :, :] - chis.reshape(-1, 4, 4)
+    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
 
 
 def _vdc(k: int) -> float:

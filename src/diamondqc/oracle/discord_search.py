@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._backend import cond_entropy_grid
 from ..params import DimerDensityMatrix
 
 _SHRINK = 0.382  # golden-section complement
@@ -37,6 +36,48 @@ def _as_matrix(rho) -> np.ndarray:
     if vals.min() < -1e-8 or abs(vals.sum() - 1.0) > 1e-6:
         raise ValueError("input is not a density matrix")
     return m
+
+
+def cond_entropy_grid(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Post-measurement conditional entropy over a grid of Bloch angles.
+
+    For each (theta, phi), the second qubit is measured in the basis of
+    the Bloch direction (theta, phi); returns sum_k p_k S(rho_A|k) in
+    bits, shape (len(thetas), len(phis)). rho is a 4x4 density matrix
+    (any Hermitian, not only X form).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    t = np.asarray(thetas, dtype=float)[:, None]
+    p = np.asarray(phis, dtype=float)[None, :]
+    c = np.cos(0.5 * t) * np.ones_like(p)
+    s = np.sin(0.5 * t) * np.ones_like(p)
+    e = np.exp(1j * p) * np.ones_like(t)
+
+    # projector |v><v| with v = (cos(t/2), e^{i phi} sin(t/2))
+    proj = np.empty(c.shape + (2, 2), dtype=complex)
+    proj[..., 0, 0] = c * c
+    proj[..., 0, 1] = c * s * np.conj(e)
+    proj[..., 1, 0] = c * s * e
+    proj[..., 1, 1] = s * s
+
+    rho4 = rho.reshape(2, 2, 2, 2)
+    out = np.zeros(c.shape)
+    for pi in (proj, np.eye(2) - proj):
+        # N[a,a'] = sum_{b,b'} rho[a,b,a',b'] Pi[b',b]
+        n = np.einsum("abcd,...db->...ac", rho4, pi)
+        pk = np.real(n[..., 0, 0] + n[..., 1, 1])
+        diff = np.real(n[..., 0, 0] - n[..., 1, 1])
+        off2 = np.abs(n[..., 0, 1]) ** 2
+        blo = np.sqrt(diff * diff + 4.0 * off2)
+        safe = np.maximum(pk, 1e-300)
+        lam1 = np.clip(0.5 * (pk + blo) / safe, 0.0, 1.0)
+        lam2 = np.clip(0.5 * (pk - blo) / safe, 0.0, 1.0)
+        ent = np.zeros_like(pk)
+        for lam in (lam1, lam2):
+            m = lam > 1e-300
+            ent[m] -= lam[m] * np.log2(lam[m])
+        out += np.where(pk > 1e-15, pk * ent, 0.0)
+    return out
 
 
 def qd_bruteforce(rho, n_grid: int = 24, n_refine: int = 6) -> float:

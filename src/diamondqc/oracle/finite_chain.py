@@ -212,44 +212,3 @@ def calibrate_conventions(params: ModelParams = _CAL_PARAMS,
     return CalibrationResult(deviations=devs, selected=selected,
                              n_cells=n_cells, selected_deviation=devs[selected])
 
-
-def calibration_report(params: ModelParams = _CAL_PARAMS,
-                       tp: ThermalPoint = _CAL_TP) -> str:
-    """Human-readable calibration summary.
-
-    Documents (a) which operator convention the closed form reproduces,
-    (b) the exponential convergence of the finite chain toward the
-    closed form, and (c) why the retained alternative closed-form
-    candidate is rejected: its normalization is twice the transfer
-    eigenvalue and its first-term prefactors pair asymmetrically, so it
-    disagrees with the independent chain by orders of magnitude more.
-    """
-    cal = calibrate_conventions(params, tp)
-    lines = ["convention calibration"]
-    lines.append(f"  benchmark: gamma={params.gamma} jz={params.jz} "
-                 f"j0={params.j0} h={params.h} t={tp.t} n_cells={cal.n_cells}")
-    for combo, dev in sorted(cal.deviations.items(), key=lambda kv: kv[1]):
-        tag = "  <- selected" if combo == cal.selected else ""
-        lines.append(f"  ising={combo[0]:<5} heisenberg={combo[1]:<9} "
-                     f"max deviation = {dev:.3e}{tag}")
-
-    lines.append("convergence in chain length (selected convention)")
-    closed = model.correlators(params, tp)
-    closed_vec = np.array([closed.xx, closed.yy, closed.zz, closed.z])
-    for n in (4, 6, 8, 10, 12, 14):
-        spec = FiniteChainSpec(n_cells=n, params=params, tp=tp)
-        got = finite_chain_correlators(spec)
-        dev = float(np.abs(closed_vec
-                           - np.array([got.xx, got.yy, got.zz, got.z])).max())
-        lines.append(f"  n_cells={n:2d}  max deviation = {dev:.3e}")
-
-    alt = np.array(model.correlators_alt(params, tp))
-    lines.append("rejected closed-form candidate (see model.correlators_alt)")
-    lines.append(f"  shipped  (xx, yy, zz, z) = {tuple(round(float(v), 9) for v in closed_vec)}")
-    lines.append(f"  rejected (xx, yy, zz, z) = {tuple(round(float(v), 9) for v in alt)}")
-    lines.append(f"  max deviation from the chain oracle = "
-                 f"{float(np.abs(alt - closed_vec).max()):.3e}")
-    lam = float(model.transfer_eigenvalue(params, tp))
-    lines.append(f"  normalization check: rejected form divides by {2 * lam:.6g} "
-                 f"(twice the transfer eigenvalue {lam:.6g})")
-    return "\n".join(lines)

@@ -2,14 +2,13 @@
 
 A sweep is described by a SweepSpec: values for the five reduced
 parameters (J0_over_J, T_over_J, h_over_J, gamma, Jz_over_J), one or
-two of them promoted to grid axes. Grids are evaluated in fixed-size
-chunks so the output is bit-identical for any worker count, and rows
-are always emitted in row-major axis order.
+two of them promoted to grid axes. Grids are evaluated in one process,
+in fixed-size chunks that bound the memory of the intermediate arrays,
+and rows are always emitted in row-major axis order.
 """
 from __future__ import annotations
 
 import configparser
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ PRESET_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d",
 DEFAULT_PROMINENCE = 0.005
 T_AXIS_FLOOR = 0.02
 
-_CHUNK_SIZE = 512
+_CHUNK_SIZE = 1 << 14
 _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
                "eig_min", "psd_flag")
 
@@ -223,24 +222,19 @@ def _build_header(spec: SweepSpec, seed: int, n_rows: int,
     return header
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1, seed: int = 0,
-              label: str = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     """Evaluate every grid point of a validated spec.
 
-    Chunking is fixed-size and independent of the worker count, so the
-    result (and any CSV emitted from it) is identical for any value of
-    `workers`. Each PSD violation is recorded in the diagnostics but the
+    Rows are evaluated in chunks of `_CHUNK_SIZE`; every row depends on
+    its own coordinates only, so the chunk size does not change the
+    result. Each PSD violation is recorded in the diagnostics but the
     offending row is still reported.
     """
     spec.validate()
     coords = grid_coords(spec)
     n = coords.shape[0]
-    chunks = [coords[i:i + _CHUNK_SIZE] for i in range(0, n, _CHUNK_SIZE)]
-    if workers is None or workers <= 1 or len(chunks) == 1:
-        parts = [_chunk_measures(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            parts = list(pool.map(_chunk_measures, chunks))
+    parts = [_chunk_measures(coords[i:i + _CHUNK_SIZE])
+             for i in range(0, n, _CHUNK_SIZE)]
     table = np.vstack(parts)
 
     diagnostics = {"psd_violations": int(np.sum(table[:, 6] < 0.5))}

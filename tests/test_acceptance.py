@@ -98,6 +98,5 @@ def test_anisotropy_large_gamma_plateau(anisotropy_results):
 
 
 def test_sweep_determinism():
-    # Criterion 10: seeded sweeps are byte-identical across reruns and
-    # worker counts.
+    # Criterion 10: seeded sweeps are byte-identical across reruns.
     report(acceptance.check_determinism())

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from diamondqc.measures import (concurrence, correlation_report,
                                 mutual_information, qd_x_state, tdd_x_state,
                                 von_neumann_entropy, x_state_measures)
-from diamondqc.model import thermal_state
+from diamondqc.model import thermal_entries_grid, thermal_state
+from diamondqc.oracle.cq_search import tdd_bruteforce
 from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
 
 BELL = DimerDensityMatrix(r11=0.5, r22=0.0, r33=0.0, r44=0.5, r14=0.5, r23=0.0)
@@ -171,12 +172,26 @@ class TestVectorized:
                 assert_allclose(grid[key][i], single[key], rtol=0.0,
                                 atol=1e-14, err_msg=key)
 
-    def test_fallback_disabled_yields_nan(self):
-        out = x_state_measures(0.5, 0.0, 0.0, 0.5, 0.5, 0.0,
-                               tdd_fallback=False)
-        assert np.isnan(out["tdd"])
-        out = x_state_measures(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
-        assert out["tdd"] == pytest.approx(1.0, abs=1e-9)
+    def test_degenerate_tdd_matches_search(self):
+        # Where the closed-form denominator vanishes, tdd is |g1|. Werner
+        # states and 33 points of a cold zero-field box lie there.
+        j0 = np.linspace(-2.0, 2.0, 41)[:, None]
+        t = np.linspace(0.002, 0.05, 41)[None, :]
+        entries = [e.ravel() for e in thermal_entries_grid(j0, t, 0.0, 0.0, 0.0)]
+        out = x_state_measures(*entries)
+        den = (out["tdd_gmax_sq"] - out["tdd_gmin_sq"]
+               + out["tdd_g1"] ** 2 - out["tdd_g2"] ** 2)
+        cold = np.nonzero(np.abs(den) < 1e-12)[0]
+        assert cold.size == 33
+        states = [werner(p) for p in (0.1, 0.3, 0.5, 0.7)]
+        states += [DimerDensityMatrix(*(float(e[i]) for e in entries)) for i in cold]
+        # A hot state is not degenerate, though every g_i scales with 1/T and
+        # the denominator drops below 1e-12: tdd ~ 2e-8 here, |g1| = 4e-8.
+        states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
+                                    ThermalPoint(1e7)))
+        for s in states:
+            assert tdd_x_state(s) == pytest.approx(
+                tdd_bruteforce(s, n_starts=8, seed=0), abs=1e-9)
 
     def test_psd_flag_and_min_eig_reported(self):
         s = thermal_state(CAL_PARAMS, CAL_TP)

@@ -172,6 +172,17 @@ class TestEntriesGrid:
         with pytest.raises(ValueError, match="positive"):
             thermal_entries_grid(0.0, -2.0, 0.0, 0.5, 0.0)
 
+    def test_zero_field_keeps_spin_flip_symmetry_when_cold(self):
+        # Below T/J ~ 0.01 the mixed-sector weight w(0) underflows against
+        # the two aligned sectors, which tie at h = 0.
+        # With gamma != 0 the aligned weights can also round an ulp apart.
+        j0 = np.linspace(-2.0, 2.0, 41)[:, None]
+        t = np.geomspace(0.002, 0.05, 25)[None, :]
+        for gamma, jz in ((0.0, 0.0), (0.6, 0.3)):
+            r11, _, _, r44, _, _ = thermal_entries_grid(j0, t, 0.0, gamma, jz)
+            assert_allclose(r11, r44, rtol=0.0, atol=1e-12,
+                            err_msg=f"gamma={gamma}, Jz={jz}")
+
     def test_extreme_temperatures_stay_finite(self):
         entries = thermal_entries_grid(
             np.array([-2.0, 2.0]), np.array([0.01, 1e6]),

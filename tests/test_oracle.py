@@ -12,6 +12,8 @@ from diamondqc.oracle import (CQStateParam, FiniteChainSpec,
                               finite_chain_reduced_state, qd_bruteforce,
                               tdd_bruteforce, trace_norm,
                               transfer_spectrum_ratio)
+from diamondqc.oracle.cq_search import trace_norm_diff_batch
+from diamondqc.oracle.discord_search import cond_entropy_grid
 from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
 
 CAL_PARAMS = ModelParams(gamma=0.6, jz=0.3, j0=0.3, h=0.35)
@@ -87,6 +89,37 @@ class TestFiniteChain:
         assert len(cal.deviations) == 4
         others = [v for k, v in cal.deviations.items() if k != cal.selected]
         assert min(others) > 100.0 * cal.selected_deviation
+
+
+def random_hermitian_stack(rng, n):
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+
+
+class TestKernels:
+    def test_cond_entropy_maximally_mixed(self):
+        thetas = np.linspace(0.0, np.pi, 7)
+        phis = np.linspace(0.0, 2.0 * np.pi, 9)
+        grid = cond_entropy_grid(MIXED, thetas, phis)
+        assert grid.shape == (7, 9)
+        # Any measurement outcome leaves the first qubit maximally mixed.
+        assert_allclose(grid, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_cond_entropy_bell(self):
+        thetas = np.linspace(0.0, np.pi, 5)
+        phis = np.linspace(0.0, 2.0 * np.pi, 5)
+        grid = cond_entropy_grid(BELL, thetas, phis)
+        # Measuring one half of a maximally entangled pair collapses the
+        # other half to a pure state, whatever the direction.
+        assert_allclose(grid, 0.0, rtol=0.0, atol=1e-10)
+
+    def test_trace_norm_batch_matches_direct(self):
+        rng = np.random.default_rng(0)
+        chis = random_hermitian_stack(rng, 12)
+        got = trace_norm_diff_batch(BELL, chis)
+        for k in range(12):
+            want = np.abs(np.linalg.eigvalsh(BELL - chis[k])).sum()
+            assert_allclose(got[k], want, rtol=1e-13, atol=1e-13)
 
 
 class TestTraceNorm:

@@ -1,15 +1,22 @@
 """Tests for sweep configuration, execution, and CSV output."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diamondqc.measures import x_state_measures
-from diamondqc.model import thermal_entries_grid
-from diamondqc.sweep import (CSV_COLUMNS, MEASURE_NAMES, PARAM_NAMES,
-                             PRESET_NAMES, T_AXIS_FLOOR, Axis, SweepConfigError,
-                             SweepResult, SweepSpec, count_peaks, emit_csv,
-                             figure_preset, grid_coords, read_sweep_config,
-                             run_sweep, with_oracle_check)
+import diamondqc
+from diamondqc.cli import main as cli_main
+from diamondqc.measures import correlation_report, x_state_measures
+from diamondqc.model import thermal_entries_grid, thermal_state
+from diamondqc.params import ModelParams, ThermalPoint
+from diamondqc.sweep import (_CHUNK_SIZE, CSV_COLUMNS, MEASURE_NAMES,
+                             PARAM_NAMES, PRESET_NAMES, T_AXIS_FLOOR, Axis,
+                             SweepConfigError, SweepResult, SweepSpec,
+                             count_peaks, emit_csv, figure_preset, grid_coords,
+                             read_sweep_config, run_sweep, with_oracle_check)
 
 
 def small_spec(n1=3, n2=4):
@@ -197,27 +204,52 @@ class TestGridCoords:
 
 class TestRunSweep:
     def test_values_match_direct_evaluation(self):
-        spec = small_spec(3, 3)
-        res = run_sweep(spec)
-        coords = grid_coords(spec)
-        entries = thermal_entries_grid(*(coords[:, k] for k in range(5)))
-        direct = x_state_measures(*entries)
-        for j, m in enumerate(MEASURE_NAMES):
-            assert_allclose(res.table[:, j], direct[m], rtol=0.0, atol=0.0,
-                            err_msg=m)
-        assert res.header["n_rows"] == "9"
-        assert res.header["psd_violations"] == "0"
-        assert res.diagnostics["psd_violations"] == 0
+        # 130 x 130 rows span two evaluation chunks.
+        assert 130 * 130 > _CHUNK_SIZE
+        for n1, n2 in ((3, 3), (130, 130)):
+            spec = small_spec(n1, n2)
+            res = run_sweep(spec)
+            coords = grid_coords(spec)
+            entries = thermal_entries_grid(*(coords[:, k] for k in range(5)))
+            direct = x_state_measures(*entries)
+            for j, m in enumerate(MEASURE_NAMES):
+                assert_allclose(res.table[:, j], direct[m], rtol=0.0, atol=0.0,
+                                err_msg=m)
+            assert res.header["n_rows"] == str(n1 * n2)
+            assert res.header["psd_violations"] == "0"
+            assert res.diagnostics["psd_violations"] == 0
 
-    def test_worker_count_does_not_change_results(self):
-        # 800 rows spans two scheduling chunks, so multiprocess execution
-        # exercises the chunk-reassembly path.
-        spec = small_spec(40, 20)
-        a = run_sweep(spec, workers=1, seed=7)
-        b = run_sweep(spec, workers=2, seed=7)
-        assert a.coords.tobytes() == b.coords.tobytes()
-        assert a.table.tobytes() == b.table.tobytes()
-        assert a.header == b.header
+    def test_worker_count_does_not_change_results(self, tmp_path):
+        # The CLI still accepts --workers, and ignores it.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["sweep", "--preset", "fig4b", "--points", "4", "--seed", "7"]
+        assert cli_main(args + ["--out", str(a)]) == 0
+        assert cli_main(args + ["--workers", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_evaluation_does_not_import_oracles(self):
+        # At J0/J = 0, h = gamma = Jz = 0 and T/J <= 0.0164 the closed-form
+        # trace-distance denominator vanishes; the sweep must still not
+        # reach for the brute-force oracles.
+        fixed = {"J0_over_J": 0.0, "h_over_J": 0.0, "gamma": 0.0, "Jz_over_J": 0.0}
+        temps = (0.002, 0.0152)
+        for t in temps:
+            state = thermal_state(ModelParams(), ThermalPoint(t))
+            b = correlation_report(state).tdd_branch
+            assert abs(b.gmax_sq - b.gmin_sq + b.g1 ** 2 - b.g2 ** 2) < 1e-12
+        script = (
+            "import sys\n"
+            "from diamondqc.sweep import Axis, SweepSpec, run_sweep\n"
+            f"run_sweep(SweepSpec(fixed={fixed!r}, "
+            f"axes=(Axis.from_values('T_over_J', {temps!r}),)))\n"
+            "print('diamondqc.oracle' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(diamondqc.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_high_temperature_limit(self):
         spec = SweepSpec(
@@ -271,8 +303,8 @@ class TestCsvOutput:
     def test_reruns_are_byte_identical(self, tmp_path):
         spec = small_spec(3, 3)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(spec, workers=1, seed=7), p1)
-        emit_csv(run_sweep(spec, workers=2, seed=7), p2)
+        emit_csv(run_sweep(spec, seed=7), p1)
+        emit_csv(run_sweep(spec, seed=7), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_result_writes_header_only(self, tmp_path):
