@@ -9,21 +9,14 @@ oracles (finite-chain contraction, measurement-grid discord search,
 classical-quantum pattern search) validate them.
 """
 from .measures import (
-    concurrence,
     correlation_report,
-    mutual_information,
-    qd_x_state,
-    tdd_x_state,
     von_neumann_entropy,
     x_state_measures,
 )
 from .model import (
     correlators,
-    dimer_density_matrix,
-    sector_weight,
     thermal_entries_grid,
     thermal_state,
-    transfer_eigenvalue,
 )
 from .params import CorrelationSet, DimerDensityMatrix, ModelParams, ThermalPoint
 from .sweep import Axis, SweepSpec, count_peaks, emit_csv, figure_preset, run_sweep
@@ -37,21 +30,14 @@ __all__ = [
     "ModelParams",
     "SweepSpec",
     "ThermalPoint",
-    "concurrence",
     "correlation_report",
     "correlators",
     "count_peaks",
-    "dimer_density_matrix",
     "emit_csv",
     "figure_preset",
-    "mutual_information",
-    "qd_x_state",
     "run_sweep",
-    "sector_weight",
-    "tdd_x_state",
     "thermal_entries_grid",
     "thermal_state",
-    "transfer_eigenvalue",
     "von_neumann_entropy",
     "x_state_measures",
     "__version__",

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
-from .measures import (concurrence, correlation_report, qd_x_state,
-                       tdd_x_state, x_state_measures)
+from .measures import correlation_report, x_state_measures
 from .model import thermal_entries_grid, thermal_state
 from .params import DimerDensityMatrix, ModelParams, ThermalPoint
 from .sweep import DEFAULT_PROMINENCE, count_peaks, figure_preset, run_sweep
@@ -53,12 +52,6 @@ def format_result(result: CheckResult) -> str:
     return f"{status} {result.name}: {result.detail}"
 
 
-def _eig_min(r11, r22, r33, r44, r14, r23):
-    outer = 0.5 * (r11 + r44) - np.sqrt(0.25 * (r11 - r44) ** 2 + r14 ** 2)
-    inner = 0.5 * (r22 + r33) - np.sqrt(0.25 * (r22 - r33) ** 2 + r23 ** 2)
-    return np.minimum(outer, inner)
-
-
 def check_density_validity() -> CheckResult:
     """Trace and positivity of the assembled state over a wide 5-d box."""
     t0 = time.perf_counter()
@@ -82,7 +75,7 @@ def check_density_validity() -> CheckResult:
 
     r11, r22, r33, r44, r14, r23 = thermal_entries_grid(j0, t, h, gamma, jz)
     trace_dev = float(np.max(np.abs(r11 + r22 + r33 + r44 - 1.0)))
-    eig_min = float(np.min(_eig_min(r11, r22, r33, r44, r14, r23)))
+    eig_min = float(np.min(x_state_measures(r11, r22, r33, r44, r14, r23)["eig_min"]))
     elapsed = time.perf_counter() - t0
 
     passed = trace_dev <= 1e-12 and eig_min >= -1e-10
@@ -170,7 +163,7 @@ def check_qd_bruteforce() -> CheckResult:
 
     gaps = np.empty(len(states))
     for i, state in enumerate(states):
-        qd_closed = qd_x_state(state)[0]
+        qd_closed = correlation_report(state).qd
         qd_search = qd_bruteforce(state, n_grid=24, n_refine=6)
         gaps[i] = qd_closed - qd_search
     min_gap = float(gaps.min())
@@ -196,7 +189,7 @@ def check_tdd_bruteforce() -> CheckResult:
                 ModelParams(gamma=params.gamma, jz=params.jz,
                             j0=params.j0, h=float(h)),
                 ThermalPoint(t))
-            closed = tdd_x_state(state)
+            closed = correlation_report(state).tdd
             search = tdd_bruteforce(state, n_starts=8, seed=0)
             worst = max(worst, abs(closed - search))
             n_points += 1

@@ -2,14 +2,15 @@
 
 All entropies are in bits (base-2 logarithms). The discord closed form
 returns the minimum of its two measurement branches. The trace-distance
-discord closed form is 0/0 where its denominator vanishes (for example on
-Bell projectors); there all three correlation-matrix magnitudes |g_i|
-coincide and the value is |g1| exactly (Ciccarello, Tufarelli and
-Giovannetti, New J. Phys. 16, 013038, 2014).
+discord closed form (Ciccarello, Tufarelli and Giovannetti, New J. Phys.
+16, 013038, 2014) is evaluated as a weighted mean of g1^2 and gmin^2,
+which is free of cancellation and lies in [|gmin|, |g1|] up to rounding;
+where both weights vanish (for example on Bell projectors) all three
+correlation-matrix magnitudes |g_i| coincide and the value is |g1|.
 
-The batch entry point `x_state_measures` evaluates everything over
-broadcastable arrays of the six X-state entries; the scalar operations
-wrap it, so scalar and grid paths share one implementation.
+`x_state_measures` evaluates everything over broadcastable arrays of the
+six X-state entries; `correlation_report` is the same evaluation for one
+state.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DimerDensityMatrix
-
-_DEGENERATE_DEN = 1e-12
 
 
 def _xlog2x(x):
@@ -61,12 +60,6 @@ class CorrelationReport:
     tdd_branch: TddBranch
 
 
-def _as_x(rho) -> DimerDensityMatrix:
-    if isinstance(rho, DimerDensityMatrix):
-        return rho
-    return DimerDensityMatrix.from_matrix(np.asarray(rho))
-
-
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a Hermitian PSD unit-trace matrix (dim <= 4).
 
@@ -97,8 +90,7 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
 
     Returns a dict of arrays: qd, d1, d2, tdd, concurrence, mutual_info,
     entropy_ab, entropy_a, eig_min, psd_flag, plus the trace-distance
-    branch quantities. Entries whose trace-distance denominator
-    degenerates get tdd = |g1|.
+    branch quantities. Concurrence is clipped into [0, 1].
 
     The discord branches assume the symmetric X family (r22 == r33); every
     thermal state produced by the model module satisfies this.
@@ -137,18 +129,20 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
     xa3 = 2.0 * (r11 + r22) - 1.0
     gmax_sq = np.maximum(g3 * g3, g2 * g2 + xa3 * xa3)
     gmin_sq = np.minimum(g1 * g1, g3 * g3)
-    den = gmax_sq - gmin_sq + g1 * g1 - g2 * g2
-    # den is a sum of two non-negative terms and, like the g_i squared, scales
-    # with the state's correlations (as beta^2 at high T), so the test is
-    # relative: below it every g_i^2 and xa3^2 agree to within 2 den.
-    degenerate = den <= _DEGENERATE_DEN * (g1 * g1 + gmax_sq)
-    safe_den = np.where(degenerate, 1.0, den)
-    num = np.maximum(g1 * g1 * gmax_sq - g2 * g2 * gmin_sq, 0.0)
-    tdd = np.where(degenerate, np.abs(g1), np.sqrt(np.maximum(num / safe_den, 0.0)))
+    # tdd^2 = (g1^2 gmax^2 - g2^2 gmin^2) / (gmax^2 - gmin^2 + g1^2 - g2^2),
+    # rewritten with g1^2 - g2^2 = 16 |r14| |r23| as the mean of g1^2 and
+    # gmin^2 weighted by a and b; both weights are non-negative, and they
+    # vanish together only where every g_i^2 and xa3^2 coincide.
+    a = gmax_sq - gmin_sq
+    b = 16.0 * np.abs(r14) * np.abs(r23)
+    den = a + b
+    safe_den = np.where(den > 0.0, den, 1.0)
+    tdd = np.where(den > 0.0, np.sqrt((a * (g1 * g1) + b * gmin_sq) / safe_den),
+                   np.abs(g1))
 
-    conc = 2.0 * np.maximum(0.0, np.maximum(
+    conc = np.clip(2.0 * np.maximum(
         np.abs(r14) - np.sqrt(np.maximum(r22 * r33, 0.0)),
-        np.abs(r23) - np.sqrt(np.maximum(r11 * r44, 0.0))))
+        np.abs(r23) - np.sqrt(np.maximum(r11 * r44, 0.0))), 0.0, 1.0)
 
     return {
         "qd": qd, "d1": d1, "d2": d2, "tdd": tdd,
@@ -160,45 +154,16 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
     }
 
 
-def _scalar_measures(rho) -> dict:
-    x = _as_x(rho).validate()
-    out = x_state_measures(x.r11, x.r22, x.r33, x.r44, x.r14, x.r23)
-    return {k: (bool(v) if k == "psd_flag" else float(v)) for k, v in out.items()}
-
-
-def mutual_information(rho) -> float:
-    """I = S(A) + S(B) - S(AB), in bits; marginals are diagonal for X form."""
-    return _scalar_measures(rho)["mutual_info"]
-
-
-def qd_x_state(rho):
-    """Quantum discord closed form: (qd, d1, d2) with qd = min(d1, d2).
-
-    d1 is the computational-axis measurement branch, d2 the transverse
-    one. At equality (|d1 - d2| < 1e-12) d1 is the reported branch.
-    Rejects non-X input (off-pattern magnitude above 1e-12).
-    """
-    m = _scalar_measures(rho)
-    return m["qd"], m["d1"], m["d2"]
-
-
-def tdd_x_state(rho) -> float:
-    """Trace-distance discord closed form, in [0, 1].
-
-    Where the denominator degenerates (at most 1e-12 of g1^2 + gmax^2)
-    the value is |g1|.
-    """
-    return _scalar_measures(rho)["tdd"]
-
-
-def concurrence(rho) -> float:
-    """Wootters concurrence, X-state closed form, in [0, 1]."""
-    return _scalar_measures(rho)["concurrence"]
-
-
 def correlation_report(rho) -> CorrelationReport:
-    """All measures of one X state in a single report."""
-    m = _scalar_measures(rho)
+    """All measures of one X state (a DimerDensityMatrix or a 4x4 array).
+
+    Raises ValueError unless the state has trace 1 and is PSD.
+    """
+    if not isinstance(rho, DimerDensityMatrix):
+        rho = DimerDensityMatrix.from_matrix(np.asarray(rho))
+    x = rho.validate()
+    m = {k: float(v) for k, v in
+         x_state_measures(x.r11, x.r22, x.r33, x.r44, x.r14, x.r23).items()}
     branch = TddBranch(g1=m["tdd_g1"], g2=m["tdd_g2"], g3=m["tdd_g3"],
                        xa3=m["tdd_xa3"], gmax_sq=m["tdd_gmax_sq"],
                        gmin_sq=m["tdd_gmin_sq"])

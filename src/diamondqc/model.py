@@ -25,16 +25,6 @@ from .params import (SECTOR_SPIN_SUMS, CorrelationSet, DimerDensityMatrix,
                      ModelParams, ThermalPoint)
 
 
-def _gap(j, gamma, j0, h, spin_sum):
-    return np.hypot(j0 * spin_sum + h, 0.5 * j * gamma)
-
-
-def sector_gap(params: ModelParams, spin_sum: float):
-    """Energy scale Delta(x) = sqrt((j0*x + h)^2 + (j*gamma/2)^2)."""
-    return _gap(params.j, params.gamma, params.j0, params.h,
-                np.asarray(spin_sum, dtype=float))
-
-
 def _sector_exponents(beta, j, gamma, jz, j0, h, x):
     """Outer/inner exponent pieces and the gap for one bridge sector."""
     g = j0 * x + h
@@ -58,9 +48,9 @@ def _global_shift(beta, j, gamma, jz, j0, h):
 def _scaled_blocks(beta, j, gamma, jz, j0, h):
     """Per-sector Boltzmann block entries scaled by e^{-shift}.
 
-    Returns (entries, shift) with entries[x] = (b11, b22, b44, b14, b23);
-    b33 = b22 by exchange symmetry of the dimer. Every exponential
-    argument is <= 0, so nothing overflows at any beta.
+    Returns entries with entries[x] = (b11, b22, b44, b14, b23); b33 = b22
+    by exchange symmetry of the dimer. Every exponential argument is
+    <= 0, so nothing overflows at any beta.
     """
     shift = _global_shift(beta, j, gamma, jz, j0, h)
     ui = 0.5 * beta * j
@@ -81,7 +71,7 @@ def _scaled_blocks(beta, j, gamma, jz, j0, h):
         b22 = 0.5 * (eip + eim)
         b23 = 0.5 * (eip - eim)
         entries[x] = (b11, b22, b44, b14, b23)
-    return entries, shift
+    return entries
 
 
 def _transfer(entries):
@@ -115,96 +105,45 @@ def _transfer(entries):
     return lam, v1, v2
 
 
-def _entries_core(beta, j, gamma, jz, j0, h):
-    """The six thermal density-matrix entries; fully broadcastable."""
-    blocks, _ = _scaled_blocks(beta, j, gamma, jz, j0, h)
-    lam, v1, v2 = _transfer(blocks)
-    qp = v1 * v1
-    q0 = v1 * v2
-    qm = v2 * v2
-    vals = []
-    for k in range(5):  # b11, b22, b44, b14, b23
-        vals.append((qp * blocks[2.0][k] + 2.0 * q0 * blocks[0.0][k]
-                     + qm * blocks[-2.0][k]) / lam)
-    r11, r22, r44, r14, r23 = vals
-    return r11, r22, r22, r44, r14, r23
-
-
-def _log_sector_weight(params: ModelParams, beta, spin_sum):
-    x = np.asarray(spin_sum, dtype=float)
-    _, d, po, pi = _sector_exponents(beta, params.j, params.gamma, params.jz,
-                                     params.j0, params.h, x)
-    to = beta * d
-    ui = 0.5 * beta * abs(params.j)
-    m = np.maximum(po + to, pi + ui)
-    val = (np.exp(po + to - m) + np.exp(po - to - m)
-           + np.exp(pi + ui - m) + np.exp(pi - ui - m))
-    return m + np.log(val)
-
-
-def sector_weight(params: ModelParams, tp: ThermalPoint, spin_sum: float):
-    """Sector weight w(x) = tr B(x) = 2 e^{beta h x/2} [e^{beta jz/4}
-    cosh(beta Delta(x)) + e^{-beta jz/4} cosh(beta j/2)].
-
-    Strictly positive. Computed in log domain; the returned plain value
-    can still overflow to inf at extreme beta, but every internal use
-    works with ratios of weights and never overflows.
-    """
-    return np.exp(_log_sector_weight(params, tp.beta, spin_sum))
-
-
-def transfer_eigenvalue(params: ModelParams, tp: ThermalPoint):
-    """Dominant eigenvalue of the 2x2 bridge-spin transfer matrix:
-    (w(2) + w(-2) + sqrt((w(2) - w(-2))^2 + 4 w(0)^2)) / 2.
-    """
-    beta = np.asarray(tp.beta, dtype=float)
-    blocks, shift = _scaled_blocks(beta, params.j, params.gamma, params.jz,
-                                   params.j0, params.h)
-    lam, _, _ = _transfer(blocks)
-    return np.exp(shift + np.log(lam))
-
-
-def correlators(params: ModelParams, tp: ThermalPoint) -> CorrelationSet:
-    """Thermodynamic-limit dimer expectations (xx, yy, zz, z)."""
-    r11, r22, r33, r44, r14, r23 = _entries_core(
-        np.float64(tp.beta), params.j, params.gamma, params.jz, params.j0, params.h)
-    return CorrelationSet(xx=float(0.5 * (r23 + r14)),
-                          yy=float(0.5 * (r23 - r14)),
-                          zz=float(0.25 * (r11 + r44 - r22 - r33)),
-                          z=float(0.5 * (r11 - r44)))
-
-
-def dimer_density_matrix(c: CorrelationSet) -> DimerDensityMatrix:
-    """Assemble the X-form state from correlators; trace is 1 exactly.
-
-    The result carries psd_flag; an inconsistent CorrelationSet yields
-    psd_flag=False rather than an exception.
-    """
-    return DimerDensityMatrix(
-        r11=0.25 + c.zz + c.z,
-        r22=0.25 - c.zz,
-        r33=0.25 - c.zz,
-        r44=0.25 + c.zz - c.z,
-        r14=c.xx - c.yy,
-        r23=c.xx + c.yy,
-    )
-
-
-def thermal_state(params: ModelParams, tp: ThermalPoint) -> DimerDensityMatrix:
-    """Closed-form reduced dimer density matrix at temperature tp.t."""
-    return dimer_density_matrix(correlators(params, tp))
-
-
 def thermal_entries_grid(j0, t, h, gamma, jz, j=1.0):
     """Vectorized thermal-state entries over broadcastable parameter arrays.
 
     Returns (r11, r22, r33, r44, r14, r23) as arrays of the broadcast
-    shape. The scalar path runs the same elementwise operations, so the
-    two agree bit for bit.
+    shape. Raises ValueError on a non-positive or non-finite temperature
+    and on non-finite couplings, as ThermalPoint and ModelParams do.
     """
     arrs = [np.asarray(v, dtype=float) for v in (j0, t, h, gamma, jz, j)]
-    j0a, ta, ha, ga, jza, ja = np.broadcast_arrays(*arrs)
-    if np.any(ta <= 0.0) or not np.all(np.isfinite(ta)):
+    if np.any(arrs[1] <= 0.0) or not np.all(np.isfinite(arrs[1])):
         raise ValueError("temperature grid must be finite and positive")
-    return _entries_core(1.0 / ta, ja, ga, jza, j0a, ha)
+    for name, a in zip(("j0", "h", "gamma", "jz", "j"), arrs[:1] + arrs[2:]):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"non-finite coupling {name} in grid")
+    j0a, ta, ha, ga, jza, ja = np.broadcast_arrays(*arrs)
+    blocks = _scaled_blocks(1.0 / ta, ja, ga, jza, j0a, ha)
+    lam, v1, v2 = _transfer(blocks)
+    qp = v1 * v1
+    q0 = v1 * v2
+    qm = v2 * v2
+    r11, r22, r44, r14, r23 = (
+        (qp * blocks[2.0][k] + 2.0 * q0 * blocks[0.0][k] + qm * blocks[-2.0][k]) / lam
+        for k in range(5))  # b11, b22, b44, b14, b23
+    return r11, r22, r22, r44, r14, r23
 
+
+def thermal_state(params: ModelParams, tp: ThermalPoint) -> DimerDensityMatrix:
+    """Closed-form reduced dimer density matrix at temperature tp.t.
+
+    Its entries are thermal_entries_grid at one point, so they carry the
+    same bits as the sweep row at the same coordinates.
+    """
+    return DimerDensityMatrix(*(float(e) for e in thermal_entries_grid(
+        params.j0, tp.t, params.h, params.gamma, params.jz, params.j)))
+
+
+def correlators(params: ModelParams, tp: ThermalPoint) -> CorrelationSet:
+    """Thermodynamic-limit dimer expectations (xx, yy, zz, z) of thermal_state."""
+    s = thermal_state(params, tp)
+    return CorrelationSet(xx=0.5 * (s.r23 + s.r14),
+                          yy=0.5 * (s.r23 - s.r14),
+                          zz=0.25 * (s.r11 + s.r44 - s.r22 - s.r33),
+                          z=0.5 * (s.r11 - s.r44))

@@ -6,6 +6,7 @@ from diamondqc.cli import main
 from diamondqc.measures import correlation_report
 from diamondqc.model import thermal_state
 from diamondqc.params import ModelParams, ThermalPoint
+from diamondqc.sweep import MEASURE_NAMES, figure_preset, run_sweep
 
 POINT_ARGS = ["point", "--gamma", "0.6", "--Jz", "0.3",
               "--J0", "0.3", "--h", "0.35", "--T", "0.5"]
@@ -30,6 +31,31 @@ class TestPoint:
                             "entropy_ab", "entropy_a", "d1", "d2"}
         for key, value in got.items():
             assert value == pytest.approx(getattr(rep, key), abs=1e-11), key
+
+    def test_prints_the_sweep_row(self, capsys):
+        # `point` and a sweep evaluate one state path, so they print the
+        # same text; the first row sits at the cold corner of the box.
+        result = run_sweep(figure_preset("fig2a"))
+        rows = [0] + list(range(1, result.coords.shape[0], 4999))
+        for row in rows:
+            j0, t, h, gamma, jz = (repr(float(v)) for v in result.coords[row])
+            assert main(["point", "--J0", j0, "--T", t, "--h", h,
+                         "--gamma", gamma, "--Jz", jz]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            want = [f"{key}=%.12g" % result.column(key)[row]
+                    for key in MEASURE_NAMES]
+            assert printed[:len(MEASURE_NAMES)] == want, (j0, t)
+        assert result.coords[0].tolist() == [-2.0, 0.02, 0.27, 0.95, 0.0]
+
+    def test_tdd_is_not_lost_to_cancellation(self, capsys):
+        # The closed form evaluated in 60-digit arithmetic on the same entries
+        # gives 0.99999999280443578.
+        assert main(["point", "--gamma", "1.207390811531298",
+                     "--Jz", "-1.8053154014076935",
+                     "--J0", "-0.12244319288511463",
+                     "--h", "0.9626989942042963",
+                     "--T", "0.02414607827188171"]) == 0
+        assert "tdd=0.999999992804\n" in capsys.readouterr().out
 
     def test_cold_zero_field_state_is_spin_flip_symmetric(self, capsys):
         # The aligned bridge sectors tie at h = 0, so the cold state mixes

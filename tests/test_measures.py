@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from diamondqc.measures import (concurrence, correlation_report,
-                                mutual_information, qd_x_state, tdd_x_state,
-                                von_neumann_entropy, x_state_measures)
+from diamondqc.measures import (correlation_report, von_neumann_entropy,
+                                x_state_measures)
 from diamondqc.model import thermal_entries_grid, thermal_state
 from diamondqc.oracle.cq_search import tdd_bruteforce
 from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
@@ -100,9 +99,8 @@ class TestKnownStates:
 
     def test_werner_state(self):
         rep = correlation_report(werner(0.7))
-        # Below the p = 1/sqrt(2) threshold the closed form degenerates and
-        # the trace-distance value comes from the fallback search; it must
-        # equal the mixing weight exactly for this family.
+        # Both weights of the trace-distance form vanish on this family,
+        # where the value is |g1|, the mixing weight.
         assert rep.tdd == pytest.approx(0.7, abs=1e-7)
         assert rep.concurrence == pytest.approx(0.55, abs=1e-12)
         assert rep.qd == pytest.approx(WERNER_QD, abs=1e-9)
@@ -122,32 +120,32 @@ class TestKnownStates:
 
 class TestScalarWrappers:
     def test_qd_branches(self):
-        s = thermal_state(CAL_PARAMS, CAL_TP)
-        qd, d1, d2 = qd_x_state(s)
-        assert qd == min(d1, d2)
-        assert qd == pytest.approx(CAL_REPORT["qd"], abs=1e-12)
-        assert d1 == pytest.approx(CAL_REPORT["d1"], abs=1e-12)
+        rep = correlation_report(thermal_state(CAL_PARAMS, CAL_TP))
+        assert rep.qd == min(rep.d1, rep.d2)
+        assert rep.qd == pytest.approx(CAL_REPORT["qd"], abs=1e-12)
+        assert rep.d1 == pytest.approx(CAL_REPORT["d1"], abs=1e-12)
 
     def test_tdd_scalar(self):
-        s = thermal_state(CAL_PARAMS, CAL_TP)
-        assert tdd_x_state(s) == pytest.approx(CAL_REPORT["tdd"], abs=1e-12)
+        rep = correlation_report(thermal_state(CAL_PARAMS, CAL_TP))
+        assert rep.tdd == pytest.approx(CAL_REPORT["tdd"], abs=1e-12)
 
     def test_wrappers_accept_dense_matrices(self):
         s = thermal_state(CAL_PARAMS, CAL_TP)
-        assert qd_x_state(s.matrix())[0] == pytest.approx(CAL_REPORT["qd"],
-                                                          abs=1e-12)
+        assert correlation_report(s.matrix()).qd == pytest.approx(
+            CAL_REPORT["qd"], abs=1e-12)
 
     def test_concurrence_formula(self):
-        assert concurrence(BELL) == pytest.approx(1.0)
-        assert concurrence(MIXED) == 0.0
+        assert correlation_report(BELL).concurrence == pytest.approx(1.0)
+        assert correlation_report(MIXED).concurrence == 0.0
         # Sudden death: small anti-diagonal swallowed by the diagonal.
         dead = DimerDensityMatrix(r11=0.3, r22=0.2, r33=0.2, r44=0.3,
                                   r14=0.0, r23=0.1)
-        assert concurrence(dead) == 0.0
+        assert correlation_report(dead).concurrence == 0.0
 
     def test_mutual_information_extremes(self):
-        assert mutual_information(BELL) == pytest.approx(2.0)
-        assert mutual_information(MIXED) == pytest.approx(0.0, abs=1e-12)
+        assert correlation_report(BELL).mutual_info == pytest.approx(2.0)
+        assert correlation_report(MIXED).mutual_info == pytest.approx(
+            0.0, abs=1e-12)
 
 
 class TestVectorized:
@@ -185,13 +183,21 @@ class TestVectorized:
         assert cold.size == 33
         states = [werner(p) for p in (0.1, 0.3, 0.5, 0.7)]
         states += [DimerDensityMatrix(*(float(e[i]) for e in entries)) for i in cold]
-        # A hot state is not degenerate, though every g_i scales with 1/T and
-        # the denominator drops below 1e-12: tdd ~ 2e-8 here, |g1| = 4e-8.
+        # A hot state whose denominator is below 1e-12 only because every g_i
+        # scales with 1/T is not degenerate: tdd ~ 2e-8 here, |g1| = 4e-8.
         states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
                                     ThermalPoint(1e7)))
         for s in states:
-            assert tdd_x_state(s) == pytest.approx(
+            assert correlation_report(s).tdd == pytest.approx(
                 tdd_bruteforce(s, n_starts=8, seed=0), abs=1e-9)
+
+    def test_cold_box_tdd_is_g1(self):
+        # With gamma = h = Jz = 0, r14 = 0, so only the weight a is non-zero
+        # and the weighted mean is g1^2: no cancellation near den = 0.
+        j0 = np.linspace(-2.0, 2.0, 41)[:, None]
+        t = np.linspace(0.002, 0.05, 41)[None, :]
+        out = x_state_measures(*thermal_entries_grid(j0, t, 0.0, 0.0, 0.0))
+        assert np.max(np.abs(out["tdd"] - np.abs(out["tdd_g1"]))) <= 1e-15
 
     def test_psd_flag_and_min_eig_reported(self):
         s = thermal_state(CAL_PARAMS, CAL_TP)
@@ -229,6 +235,13 @@ class TestMeasureInvariants:
         assert out["mutual_info"] >= -1e-12
         assert -1e-12 <= out["entropy_ab"] <= 2.0 + 1e-12
         assert out["qd"] <= min(out["d1"], out["d2"]) + 1e-15
+
+    def test_concurrence_clipped_to_unit_interval(self):
+        # A Bell state whose coherence rounds an ulp high is still PSD to
+        # within PSD_TOL; its concurrence must not exceed 1.
+        out = x_state_measures(0.5, 0.0, 0.0, 0.5, np.nextafter(0.5, 1.0), 0.0)
+        assert out["psd_flag"]
+        assert out["concurrence"] == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(entries=x_entries())

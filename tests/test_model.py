@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from diamondqc.model import (correlators, dimer_density_matrix, sector_gap,
-                             sector_weight, thermal_entries_grid, thermal_state,
-                             transfer_eigenvalue)
-from diamondqc.params import (SECTOR_SPIN_SUMS, CorrelationSet,
-                              DimerDensityMatrix, ModelParams, ThermalPoint)
+from diamondqc.model import correlators, thermal_entries_grid, thermal_state
+from diamondqc.params import (CorrelationSet, DimerDensityMatrix, ModelParams,
+                              ThermalPoint)
 
 CAL_PARAMS = ModelParams(gamma=0.6, jz=0.3, j0=0.3, h=0.35)
 CAL_TP = ThermalPoint(0.5)
@@ -49,37 +47,6 @@ class TestParams:
             CorrelationSet(xx=0.0, yy=0.0, zz=0.0, z=0.6)
 
 
-class TestSectorQuantities:
-    def test_sector_gap_formula(self):
-        p = ModelParams(gamma=0.8, j0=0.4, h=0.1)
-        for x in SECTOR_SPIN_SUMS:
-            expected = np.hypot(0.4 * x + 0.1, 0.5 * 0.8)
-            assert_allclose(sector_gap(p, x), expected, rtol=1e-14)
-
-    def test_sector_weight_infinite_temperature(self):
-        # beta -> 0: every Boltzmann factor is 1, the block trace is 4.
-        tp = ThermalPoint(1e9)
-        for x in SECTOR_SPIN_SUMS:
-            assert_allclose(sector_weight(CAL_PARAMS, tp, x), 4.0, rtol=1e-8)
-
-    def test_transfer_eigenvalue_infinite_temperature(self):
-        # w(x) = 4 for all sectors: lambda = (4 + 4 + sqrt(0 + 64)) / 2 = 8.
-        assert_allclose(transfer_eigenvalue(CAL_PARAMS, ThermalPoint(1e9)),
-                        8.0, rtol=1e-8)
-
-    def test_transfer_eigenvalue_matches_weights(self):
-        wp = float(sector_weight(CAL_PARAMS, CAL_TP, 2.0))
-        w0 = float(sector_weight(CAL_PARAMS, CAL_TP, 0.0))
-        wm = float(sector_weight(CAL_PARAMS, CAL_TP, -2.0))
-        lam = 0.5 * (wp + wm + np.hypot(wp - wm, 2.0 * w0))
-        assert_allclose(transfer_eigenvalue(CAL_PARAMS, CAL_TP), lam, rtol=1e-12)
-
-    def test_sector_weight_positive_at_low_temperature(self):
-        tp = ThermalPoint(0.01)
-        for x in SECTOR_SPIN_SUMS:
-            assert sector_weight(CAL_PARAMS, tp, x) > 0.0
-
-
 class TestCorrelators:
     def test_calibration_point_frozen_values(self):
         c = correlators(CAL_PARAMS, CAL_TP)
@@ -89,17 +56,6 @@ class TestCorrelators:
     def test_infinite_temperature_limit(self):
         c = correlators(CAL_PARAMS, ThermalPoint(1e9))
         assert_allclose((c.xx, c.yy, c.zz, c.z), 0.0, atol=1e-8)
-
-    def test_entry_assembly(self):
-        c = correlators(CAL_PARAMS, CAL_TP)
-        s = dimer_density_matrix(c)
-        assert_allclose(s.r11, 0.25 + c.zz + c.z, rtol=1e-14)
-        assert_allclose(s.r44, 0.25 + c.zz - c.z, rtol=1e-14)
-        assert_allclose(s.r22, 0.25 - c.zz, rtol=1e-14)
-        assert s.r22 == s.r33
-        assert_allclose(s.r14, c.xx - c.yy, rtol=1e-14)
-        assert_allclose(s.r23, c.xx + c.yy, rtol=1e-14)
-        assert_allclose(s.trace(), 1.0, rtol=0.0, atol=1e-15)
 
 
 class TestThermalState:
@@ -146,6 +102,8 @@ class TestThermalState:
 
 class TestEntriesGrid:
     def test_scalar_and_grid_paths_agree_bitwise(self):
+        # thermal_state is the grid evaluation at one point, so its entries
+        # are the bits of the sweep row at the same coordinates.
         j0 = np.array([-1.3, 0.0, 0.7])
         t = np.array([0.3, 1.0, 4.0])
         h = np.array([-0.5, 0.27, 1.1])
@@ -154,8 +112,11 @@ class TestEntriesGrid:
         grid = thermal_entries_grid(j0, t, h, gamma, jz)
         for i in range(3):
             single = thermal_entries_grid(j0[i], t[i], h[i], gamma[i], jz[i])
-            for g, s in zip(grid, single):
-                assert float(g[i]) == float(s)
+            s = thermal_state(ModelParams(gamma=gamma[i], jz=jz[i], j0=j0[i],
+                                          h=h[i]), ThermalPoint(t[i]))
+            state = (s.r11, s.r22, s.r33, s.r44, s.r14, s.r23)
+            for g, one, entry in zip(grid, single, state):
+                assert float(g[i]) == float(one) == entry
 
     def test_broadcasting(self):
         t = np.linspace(0.1, 2.0, 5)[:, None]
@@ -171,6 +132,16 @@ class TestEntriesGrid:
             thermal_entries_grid(0.0, np.array([1.0, 0.0]), 0.0, 0.5, 0.0)
         with pytest.raises(ValueError, match="positive"):
             thermal_entries_grid(0.0, -2.0, 0.0, 0.5, 0.0)
+
+    def test_rejects_non_finite_couplings(self):
+        # The grid path rejects what ModelParams rejects.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                thermal_entries_grid(bad, 1.0, 0.0, 0.0, 0.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                thermal_entries_grid(0.0, 1.0, np.array([0.0, bad]), 0.0, 0.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                thermal_entries_grid(0.0, 1.0, 0.0, 0.0, 0.0, j=bad)
 
     def test_zero_field_keeps_spin_flip_symmetry_when_cold(self):
         # Below T/J ~ 0.01 the mixed-sector weight w(0) underflows against
