@@ -16,19 +16,21 @@ they require and report what the model actually produces.
 """
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import os
 import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .measures import correlation_report, x_state_measures
 from .model import thermal_entries_grid, thermal_state
 from .params import DimerDensityMatrix, ModelParams, ThermalPoint
-from .sweep import DEFAULT_PROMINENCE, count_peaks, figure_preset, run_sweep
+from .sweep import (DEFAULT_PROMINENCE, count_peaks, figure_preset,
+                    prominent_peaks, run_sweep)
 
 SUITES = ("psd", "oracle", "figures")
 
@@ -245,7 +247,7 @@ def check_thermal_ridge() -> CheckResult:
         x, ys = result.line("T_over_J", J0_over_J=col)
         for measure in ("qd", "tdd"):
             y = ys[measure]
-            idx, _ = find_peaks(y, prominence=DEFAULT_PROMINENCE)
+            idx = prominent_peaks(y, DEFAULT_PROMINENCE)
             if idx.size != 1:
                 problems.append(f"{measure}@J0={col:g}: {idx.size} peaks")
                 heights[measure].append(float(y.max()))
@@ -335,7 +337,8 @@ def check_determinism() -> CheckResult:
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv")]
         base = ["sweep", "--preset", "fig2a", "--seed", "7", "--out"]
-        codes = [main(base + [path]) for path in paths]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(base + [path]) for path in paths]
         if any(codes):
             return CheckResult("sweep-determinism(fig2a)", False,
                                f"sweep exit codes {codes}")

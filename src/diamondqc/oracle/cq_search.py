@@ -5,8 +5,8 @@ A classical-quantum state is chi = p Pi0 x rho0 + (1-p) Pi1 x rho1 with
 rho1 arbitrary single-qubit states. The family is parametrized by nine
 reals: the projector axis (theta, phi), the weight p, and two Bloch
 vectors. The objective ||rho - chi||_1 is minimized by a multi-start
-coordinate pattern search; starts come from a seeded scrambled Sobol
-sequence plus warm starts obtained by dephasing rho along a
+coordinate pattern search; starts are seeded NumPy uniform draws over
+the parameter box plus warm starts obtained by dephasing rho along a
 deterministic lattice of measurement directions. Every intermediate
 candidate is itself a valid classical-quantum state, so the running
 best is always an upper bound on the true distance.
@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from ..params import DimerDensityMatrix
 
@@ -203,13 +202,6 @@ def _dephase_batch(rho4: np.ndarray, thetas: np.ndarray,
     return out
 
 
-def _dephased_starts(m: np.ndarray, n_dirs: int = 3) -> list:
-    """Warm starts: dephase rho along each of n_dirs measurement axes."""
-    rho4 = m.reshape(2, 2, 2, 2)
-    dirs = np.array(_measurement_directions(n_dirs))
-    return list(_dephase_batch(rho4, dirs[:, 0], dirs[:, 1]))
-
-
 def _pattern_search_batch(m: np.ndarray, x0s: np.ndarray) -> np.ndarray:
     """Best-improvement compass search run on every start simultaneously.
 
@@ -263,7 +255,10 @@ def _pattern_search_batch(m: np.ndarray, x0s: np.ndarray) -> np.ndarray:
 def tdd_bruteforce(rho, n_starts: int = 12, seed: int = 0) -> float:
     """Minimal trace distance from rho to the classical-quantum set.
 
-    Deterministic for fixed (n_starts, seed); n_starts >= 8 required.
+    The starts are rho dephased along n_starts // 2 measurement axes,
+    topped up to n_starts with uniform draws over the parameter box from
+    `numpy.random.default_rng(seed)`. Deterministic for fixed
+    (n_starts, seed); n_starts >= 8 required.
     Warns if the two best starts disagree by more than 1e-3 (possible
     non-convergence).
     """
@@ -283,17 +278,15 @@ def tdd_bruteforce(rho, n_starts: int = 12, seed: int = 0) -> float:
         if abs(vals.sum() - 1.0) > 1e-6:
             raise ValueError(f"trace {vals.sum():.6g} deviates from 1")
 
-    starts = _dephased_starts(m, n_dirs=max(3, n_starts // 2))
-    n_random = max(n_starts - len(starts), 0)
-    if n_random:
-        sob = qmc.Sobol(d=9, scramble=True, seed=seed)
-        # Draw a power-of-2 block (a Sobol balance requirement) and slice.
-        u = sob.random(1 << (n_random - 1).bit_length())[:n_random]
-        lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
-        hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
-        starts.extend(lo + (hi - lo) * row for row in u)
+    dirs = np.array(_measurement_directions(n_starts // 2))
+    u = np.random.default_rng(seed).random((n_starts - dirs.shape[0], 9))
+    lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
+    hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
+    rho4 = m.reshape(2, 2, 2, 2)
+    starts = np.vstack([_dephase_batch(rho4, dirs[:, 0], dirs[:, 1]),
+                        lo + (hi - lo) * u])
 
-    finals = sorted(_pattern_search_batch(m, np.array(starts[:n_starts])))
+    finals = sorted(_pattern_search_batch(m, starts))
     if len(finals) > 1 and finals[1] - finals[0] > _DISAGREE_WARN:
         warnings.warn("classical-quantum search starts disagree by "
                       f"{finals[1] - finals[0]:.2e}; result may not be converged",

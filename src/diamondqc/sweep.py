@@ -12,7 +12,6 @@ import configparser
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .measures import x_state_measures
 from .model import thermal_entries_grid
@@ -27,6 +26,10 @@ DEFAULT_PROMINENCE = 0.005
 T_AXIS_FLOOR = 0.02
 
 _CHUNK_SIZE = 1 << 14
+# emit_csv formats rows a block at a time, with one %-operation on the row
+# format repeated; a block of 4096 rows is a string of about 0.5 MB.
+_CSV_BLOCK = 4096
+_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
 _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
                "eig_min", "psd_flag")
 
@@ -270,25 +273,53 @@ def emit_csv(result: SweepResult, path) -> None:
             for key, value in result.header.items():
                 fh.write(f"# {key} = {value}\n")
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            np.savetxt(fh, data, fmt="%.12g", delimiter=",", newline="\n")
+            for i in range(0, n, _CSV_BLOCK):
+                block = data[i:i + _CSV_BLOCK]
+                fh.write((_CSV_ROW * block.shape[0]) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
 
 
+def prominent_peaks(y, prominence: float) -> np.ndarray:
+    """Indices of the peaks of `y` whose topographic prominence is at least
+    `prominence`, by the rules of `scipy.signal.find_peaks`.
+
+    A peak is a sample, or a plateau of equal samples, with a strictly lower
+    neighbor on each side; a plateau counts once, at its middle index (the
+    left one of the two middles when its width is even). The first and last
+    samples are never peaks. On each side the base is the lowest sample
+    between the peak and the nearest strictly higher sample, or the series'
+    end if there is none; the prominence is the peak minus the higher base.
+    """
+    y = np.asarray(y, dtype=float)
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    ends = np.r_[starts[1:], y.size] - 1
+    v = y[starts]
+    runs = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    keep = []
+    for p in (starts[runs] + ends[runs]) // 2:
+        above = np.flatnonzero(~(y <= y[p]))
+        k = np.searchsorted(above, p)
+        lo = above[k - 1] + 1 if k else 0
+        hi = above[k] if k < above.size else y.size
+        if y[p] - max(y[lo:p + 1].min(), y[p:hi].min()) >= prominence:
+            keep.append(p)
+    return np.array(keep, dtype=int)
+
+
 def count_peaks(series, prominence: float) -> int:
-    """Count strict local maxima that rise at least `prominence` above the
-    neighboring minima on both sides (topographic prominence)."""
+    """Number of peaks of a sorted (x, y) series whose prominence is at least
+    `prominence`; see `prominent_peaks` for the rules, which count a
+    plateau once and never count an end point."""
     if prominence <= 0:
         raise ValueError(f"prominence must be positive, got {prominence}")
-    pts = [(float(x), float(y)) for x, y in series]
+    pts = np.asarray(series, dtype=float)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points to count peaks, got {len(pts)}")
-    xs = np.array([p[0] for p in pts])
+    xs, ys = pts.T
     if np.any(np.diff(xs) < 0):
         raise ValueError("series must be sorted by x")
-    ys = np.array([p[1] for p in pts])
-    idx, _ = find_peaks(ys, prominence=prominence)
-    return int(idx.size)
+    return int(prominent_peaks(ys, prominence).size)
 
 
 def figure_preset(name: str, n_points: int = 201) -> SweepSpec:

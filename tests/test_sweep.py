@@ -12,11 +12,13 @@ from diamondqc.cli import main as cli_main
 from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
 from diamondqc.params import ModelParams, ThermalPoint
-from diamondqc.sweep import (_CHUNK_SIZE, CSV_COLUMNS, MEASURE_NAMES,
-                             PARAM_NAMES, PRESET_NAMES, T_AXIS_FLOOR, Axis,
+from diamondqc.sweep import (_CHUNK_SIZE, _CSV_BLOCK, CSV_COLUMNS,
+                             DEFAULT_PROMINENCE, MEASURE_NAMES, PARAM_NAMES,
+                             PRESET_NAMES, T_AXIS_FLOOR, Axis,
                              SweepConfigError, SweepResult, SweepSpec,
                              count_peaks, emit_csv, figure_preset, grid_coords,
-                             read_sweep_config, run_sweep, with_oracle_check)
+                             prominent_peaks, read_sweep_config, run_sweep,
+                             with_oracle_check)
 
 
 def small_spec(n1=3, n2=4):
@@ -318,6 +320,25 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert lines[-1] == ",".join(CSV_COLUMNS)
 
+    def test_rows_are_percent_formatted_across_blocks(self, tmp_path):
+        # Rows are formatted a block at a time; each must read exactly as
+        # "%.12g" writes its floats, including the awkward values, in a
+        # table whose last block is partial.
+        n = _CSV_BLOCK + 3
+        special = [-0.0, float("nan"), 1e-300, 0.1 + 0.2, -1e300, 2.0 ** -1074]
+        values = np.random.default_rng(5).normal(size=(n, 12))
+        values[:, 0] = np.resize(special, n)
+        values[_CSV_BLOCK - 1:_CSV_BLOCK + 1, 1:] = 0.1 + 0.2
+        res = SweepResult(spec=small_spec(2, 2), coords=values[:, :5],
+                          table=values[:, 5:], header={"n_rows": str(n)})
+        path = tmp_path / "blocks.csv"
+        emit_csv(res, path)
+        rows = path.read_bytes().split(b"\n")[2:]
+        want = [",".join("%.12g" % v for v in row).encode() for row in values]
+        assert rows == want + [b""]
+        assert [row.split(b",")[0] for row in rows[:6]] == [
+            b"-0", b"nan", b"1e-300", b"0.3", b"-1e+300", b"4.94065645841e-324"]
+
     def test_unwritable_path(self, tmp_path):
         res = run_sweep(small_spec(2, 2))
         target = tmp_path / "missing" / "out.csv"
@@ -325,10 +346,49 @@ class TestCsvOutput:
             emit_csv(res, target)
 
 
+def walked_peaks(y, prominence):
+    """The peak rules of `prominent_peaks` as sample-by-sample walks, in the
+    form scipy.signal.find_peaks runs them."""
+    peaks, i, last = [], 1, len(y) - 1
+    while i < last:
+        if y[i - 1] < y[i]:
+            ahead = i + 1
+            while ahead < last and y[ahead] == y[i]:
+                ahead += 1
+            if y[ahead] < y[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    kept = []
+    for p in peaks:
+        bases = []
+        for step in (-1, 1):
+            j, low = p, y[p]
+            while 0 <= j <= last and y[j] <= y[p]:
+                low = min(low, y[j])
+                j += step
+            bases.append(low)
+        if y[p] - max(bases) >= prominence:
+            kept.append(p)
+    return kept
+
+
 class TestCountPeaks:
     @staticmethod
     def series(ys):
         return list(zip(range(len(ys)), [float(y) for y in ys]))
+
+    def test_matches_walked_rules_on_random_series(self):
+        # Quantised series are full of plateaus, ties and prominences that
+        # equal the threshold exactly.
+        rng = np.random.default_rng(17)
+        for k in range(600):
+            n = int(rng.integers(3, 80))
+            if k % 2:
+                y, threshold = rng.normal(size=n), float(rng.uniform(0.05, 2.0))
+            else:
+                y, threshold = rng.integers(0, 4, size=n).astype(float), 1.0
+            assert prominent_peaks(y, threshold).tolist() == walked_peaks(y, threshold)
 
     def test_shapes(self):
         assert count_peaks(self.series([0, 1, 0]), 0.5) == 1
@@ -344,6 +404,57 @@ class TestCountPeaks:
     def test_boundary_plateau_not_counted(self):
         ys = [5.0, 5.0, 1.0, 2.0, 1.0, 0.5]
         assert count_peaks(self.series(ys), 0.5) == 1
+
+    def test_plateau_counts_once_at_its_middle(self):
+        assert prominent_peaks([0, 1, 1, 1, 0], 0.5).tolist() == [2]
+        # even widths take the left of the two middle samples
+        assert prominent_peaks([0, 2, 2, 2, 2, 0], 0.5).tolist() == [2]
+        assert prominent_peaks([0, 1, 1, 0], 0.5).tolist() == [1]
+
+    def test_equal_peaks_see_past_each_other(self):
+        # The walk to a base stops only at a strictly higher sample, so each
+        # of two equal peaks has the series minimum as its base: prominence 1.
+        assert prominent_peaks([0, 1, 0.5, 1, 0], 0.6).tolist() == [1, 3]
+
+    def test_end_samples_are_never_peaks(self):
+        assert prominent_peaks([0, 1, 2, 3], 0.5).size == 0
+        assert prominent_peaks([3, 2, 1, 0], 0.5).size == 0
+        assert prominent_peaks([1, 1, 1], 0.1).size == 0
+        assert prominent_peaks([0, 1, 1], 0.1).size == 0
+        # the peak at index 3 has no higher sample on its right, so that
+        # base runs to the end; the left one stops at the edge maximum
+        assert prominent_peaks([3, 2, 1, 2, 1], 1.0).tolist() == [3]
+
+    def test_prominence_threshold_is_inclusive(self):
+        ys = [0.0, 1.0, 0.5, 0.75, 0.0]  # second peak: 0.75 - 0.5 = 0.25
+        assert prominent_peaks(ys, 0.25).tolist() == [1, 3]
+        assert prominent_peaks(ys, np.nextafter(0.25, 1.0)).tolist() == [1]
+
+    def test_frozen_field_scan_peaks(self):
+        # Indices on the 201-point fig3a h-scans, as scipy.signal.find_peaks
+        # gives them at the default prominence.
+        want = {("qd", 0.2): [45, 100, 155], ("qd", 0.5): [25, 100, 175],
+                ("qd", 0.7): [100], ("qd", 1.5): [],
+                ("tdd", 0.2): [43, 100, 157], ("tdd", 0.5): [31, 100, 169],
+                ("tdd", 0.7): [26, 174], ("tdd", 1.5): [10, 190]}
+        res = run_sweep(figure_preset("fig3a"))
+        for (measure, t), idx in want.items():
+            x, ys = res.line("h_over_J", T_over_J=t)
+            assert prominent_peaks(ys[measure], DEFAULT_PROMINENCE).tolist() == idx
+            assert count_peaks(list(zip(x, ys[measure])),
+                               DEFAULT_PROMINENCE) == len(idx)
+
+    def test_frozen_thermal_ridge_peaks(self):
+        # Indices along T/J of the fig2a columns the thermal-ridge check
+        # reads, as scipy.signal.find_peaks gives them.
+        want = {1.2: ([113], [125]), 1.3: ([104], [133]), 1.4: ([101], [142]),
+                1.5: ([101], [150]), 1.6: ([102], [159])}
+        res = run_sweep(figure_preset("fig2a"))
+        j0 = res.spec.axes[0].grid()
+        for col, (qd_idx, tdd_idx) in want.items():
+            _, ys = res.line("T_over_J", J0_over_J=j0[np.argmin(np.abs(j0 - col))])
+            assert prominent_peaks(ys["qd"], DEFAULT_PROMINENCE).tolist() == qd_idx
+            assert prominent_peaks(ys["tdd"], DEFAULT_PROMINENCE).tolist() == tdd_idx
 
     def test_errors(self):
         with pytest.raises(ValueError, match="prominence"):
