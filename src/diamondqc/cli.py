@@ -125,7 +125,7 @@ def _cmd_verify(args) -> int:
             if not res.passed:
                 failed += 1
     if failed:
-        print(f"{failed} check(s) failed", file=sys.stderr)
+        print(f"{failed} check(s) failed")
         return EXIT_VERIFY
     print("all checks passed")
     return EXIT_OK

@@ -10,6 +10,11 @@ the parameter box plus warm starts obtained by dephasing rho along a
 deterministic lattice of measurement directions. Every intermediate
 candidate is itself a valid classical-quantum state, so the running
 best is always an upper bound on the true distance.
+
+The search carries a leading state axis: a stack of S states is searched
+in one loop, each iteration polling every active start of every state
+with one batched evaluation. Starts never interact, so each state's
+trajectory and result are those of a search over that state alone.
 """
 from __future__ import annotations
 
@@ -20,11 +25,6 @@ import numpy as np
 
 from ..params import DimerDensityMatrix
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 # Step schedule: full search from the coarse step, then two re-polls of
 # the converged points from fresher steps. Single-coordinate moves stall
 # on curved valleys once the step has decayed; restarting the shrink from
@@ -71,40 +71,30 @@ def _project(x: np.ndarray) -> np.ndarray:
     return _project_batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def _qubit_state(bloch) -> np.ndarray:
-    b = np.asarray(bloch, dtype=float)
-    m = 0.5 * np.eye(2, dtype=complex)
-    for k in range(3):
-        m += 0.5 * b[k] * _PAULI[k]
-    return m
-
-
-def _projector_pair(theta: float, phi: float):
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    v = np.array([c, np.exp(1j * phi) * s])
-    pi0 = np.outer(v, v.conj())
-    return pi0, np.eye(2) - pi0
-
-
 def cq_state(param: CQStateParam) -> np.ndarray:
     """The 4x4 density matrix of a classical-quantum candidate."""
-    pi0, pi1 = _projector_pair(param.theta, param.phi)
-    return (param.p * np.kron(pi0, _qubit_state(param.bloch0))
-            + (1.0 - param.p) * np.kron(pi1, _qubit_state(param.bloch1)))
+    return _chi_batch(param.vector()[None, :])[0]
+
+
+def _projectors(thetas: np.ndarray, phis: np.ndarray):
+    """The projector pair (Pi0, Pi1) onto the axis (theta, phi) and its
+    opposite, for any shape of angle arrays: two arrays of shape
+    thetas.shape + (2, 2)."""
+    c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    phase = np.exp(1j * phis)
+    pi0 = np.empty(np.shape(thetas) + (2, 2), dtype=complex)
+    pi0[..., 0, 0] = c * c
+    pi0[..., 0, 1] = c * s * phase.conj()
+    pi0[..., 1, 0] = c * s * phase
+    pi0[..., 1, 1] = s * s
+    return pi0, np.eye(2, dtype=complex) - pi0
 
 
 def _chi_batch(vectors: np.ndarray) -> np.ndarray:
     """Vectorized cq_state over a (k, 9) batch of feasible parameter vectors."""
     v = np.asarray(vectors, dtype=float)
     k = v.shape[0]
-    c, s = np.cos(0.5 * v[:, 0]), np.sin(0.5 * v[:, 0])
-    phase = np.exp(1j * v[:, 1])
-    pi0 = np.empty((k, 2, 2), dtype=complex)
-    pi0[:, 0, 0] = c * c
-    pi0[:, 0, 1] = c * s * phase.conj()
-    pi0[:, 1, 0] = c * s * phase
-    pi0[:, 1, 1] = s * s
-    pi1 = np.eye(2, dtype=complex)[None, :, :] - pi0
+    pi0, pi1 = _projectors(v[:, 0], v[:, 1])
 
     def qubit(bloch):
         q = np.empty((k, 2, 2), dtype=complex)
@@ -135,11 +125,12 @@ def trace_norm(delta) -> float:
 
 
 def trace_norm_diff_batch(rho: np.ndarray, chis: np.ndarray) -> np.ndarray:
-    """Schatten 1-norms ||rho - chis[k]||_1 for a stack of 4x4 Hermitian chis."""
+    """Schatten 1-norms ||rho - chis[k]||_1 for a stack of N Hermitian 4x4
+    chis, in one eigen-solve. rho is one 4x4 matrix shared by every chi,
+    or a (N, 4, 4) stack holding the matrix each chi is compared with."""
     rho = np.asarray(rho, dtype=complex)
-    chis = np.asarray(chis, dtype=complex)
-    diff = rho[None, :, :] - chis.reshape(-1, 4, 4)
-    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    chis = np.asarray(chis, dtype=complex).reshape(-1, 4, 4)
+    return np.abs(np.linalg.eigvalsh(rho - chis)).sum(axis=-1)
 
 
 def _vdc(k: int) -> float:
@@ -169,47 +160,46 @@ def _measurement_directions(n_dirs: int) -> list:
 
 def _dephase_batch(rho4: np.ndarray, thetas: np.ndarray,
                    phis: np.ndarray) -> np.ndarray:
-    """Parameter vectors of rho dephased along a batch of measurement axes.
+    """Parameter vectors of each state dephased along its own batch of
+    measurement axes.
 
-    Dephasing projects rho onto the classical-quantum family with the
-    given projector pair: p_i = tr[(Pi_i x I) rho] and sigma_i the
-    normalized B-side block tr_A[(Pi_i x I) rho (Pi_i x I)].
+    rho4 holds S states as (S, 2, 2, 2, 2); thetas and phis are (S, k),
+    row s the axes for state s. Returns (S, k, 9). Dephasing projects rho
+    onto the classical-quantum family with the given projector pair:
+    p_i = tr[(Pi_i x I) rho] and sigma_i the normalized B-side block
+    tr_A[(Pi_i x I) rho (Pi_i x I)].
     """
-    k = thetas.shape[0]
-    c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
-    phase = np.exp(1j * phis)
-    pi0 = np.empty((k, 2, 2), dtype=complex)
-    pi0[:, 0, 0] = c * c
-    pi0[:, 0, 1] = c * s * phase.conj()
-    pi0[:, 1, 0] = c * s * phase
-    pi0[:, 1, 1] = s * s
-    pi1 = np.eye(2, dtype=complex)[None, :, :] - pi0
-
-    out = np.empty((k, 9))
-    out[:, 0] = thetas
-    out[:, 1] = phis
-    for pis, sl in ((pi0, slice(3, 6)), (pi1, slice(6, 9))):
+    out = np.empty(np.shape(thetas) + (9,))
+    out[..., 0] = thetas
+    out[..., 1] = phis
+    for pis, j in zip(_projectors(thetas, phis), (3, 6)):
         # B-side block: tr_A[(Pi x I) rho (Pi x I)][b, d] = rho4[a, b, c, d] Pi[c, a]
-        blk = np.einsum("abcd,ica->ibd", rho4, pis)
-        p = np.real(blk[:, 0, 0] + blk[:, 1, 1])
+        blk = np.einsum("sabcd,sica->sibd", rho4, pis)
+        p = np.real(blk[..., 0, 0] + blk[..., 1, 1])
         safe = np.where(p > 1e-12, p, 1.0)
-        out[:, sl.start + 0] = 2.0 * np.real(blk[:, 1, 0]) / safe
-        out[:, sl.start + 1] = 2.0 * np.imag(blk[:, 1, 0]) / safe
-        out[:, sl.start + 2] = np.real(blk[:, 0, 0] - blk[:, 1, 1]) / safe
-        out[:, sl] *= (p > 1e-12)[:, None]
-        if sl.start == 3:
-            out[:, 2] = np.clip(p, 0.0, 1.0)
+        out[..., j] = 2.0 * np.real(blk[..., 1, 0]) / safe
+        out[..., j + 1] = 2.0 * np.imag(blk[..., 1, 0]) / safe
+        out[..., j + 2] = np.real(blk[..., 0, 0] - blk[..., 1, 1]) / safe
+        out[..., j:j + 3] *= (p > 1e-12)[..., None]
+        if j == 3:
+            out[..., 2] = np.clip(p, 0.0, 1.0)
     return out
 
 
-def _pattern_search_batch(m: np.ndarray, x0s: np.ndarray) -> np.ndarray:
-    """Best-improvement compass search run on every start simultaneously.
+def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
+    """Best-improvement compass search run on every start of every state
+    simultaneously.
 
-    Each iteration perturbs every active start along +/- each of the 9
-    coordinates, evaluates all candidates in one batched trace-norm
-    call, moves starts that improved, and halves the step of those that
-    did not. A start retires once its step falls below the tolerance;
-    retired starts are then re-polled from the next step in the cascade.
+    ms holds S states (S, 4, 4) and x0s their starts (S, k, 9); returns
+    the final distances (S, k). Each (state, start) pair keeps its own
+    step, and `owner` maps a pair to its state. Each iteration perturbs
+    every active pair along +/- each of the 9 coordinates, evaluates all
+    candidates of all states in one batched trace-norm call, moves pairs
+    that improved, and halves the step of those that did not. A pair
+    retires once its step falls below the tolerance; retired pairs are
+    then re-polled from the next step in the cascade. No rule looks past
+    a single pair, so each state's result is what a search over that
+    state alone gives.
 
     The poll set also contains coupled moves: for each axis step in
     theta or phi, the candidate whose weight and Bloch vectors are the
@@ -220,28 +210,30 @@ def _pattern_search_batch(m: np.ndarray, x0s: np.ndarray) -> np.ndarray:
     instead of stalling in the narrow curved valley a bare theta step
     cannot cross.
     """
-    rho4 = m.reshape(2, 2, 2, 2)
-    xs = _project_batch(np.asarray(x0s, dtype=float))
-    fs = trace_norm_diff_batch(m, _chi_batch(xs)).astype(float)
+    n_states, k = x0s.shape[:2]
+    owner = np.repeat(np.arange(n_states), k)
+    xs = _project_batch(x0s.reshape(-1, 9))
+    fs = trace_norm_diff_batch(ms[owner], _chi_batch(xs))
     for init_step in _STEP_CASCADE:
         steps = np.full(xs.shape[0], init_step)
         for _ in range(_MAX_ITER):
             active = np.nonzero(steps >= _MIN_STEP)[0]
             if active.size == 0:
                 break
+            m = ms[owner[active]]
+            st = steps[active]
             cands = np.repeat(xs[active][:, None, :], 22, axis=1)
             for i in range(9):
-                cands[:, 2 * i, i] += steps[active]
-                cands[:, 2 * i + 1, i] -= steps[active]
-            th, ph, st = xs[active, 0], xs[active, 1], steps[active]
-            cands[:, 18:, :] = np.stack([
-                _dephase_batch(rho4, th + st, ph),
-                _dephase_batch(rho4, th - st, ph),
-                _dephase_batch(rho4, th, ph + st),
-                _dephase_batch(rho4, th, ph - st),
-            ], axis=1)
+                cands[:, 2 * i, i] += st
+                cands[:, 2 * i + 1, i] -= st
+            th, ph = xs[active, 0], xs[active, 1]
+            cands[:, 18:, :] = _dephase_batch(
+                m.reshape(-1, 2, 2, 2, 2),
+                np.stack([th + st, th - st, th, th], axis=1),
+                np.stack([ph, ph, ph + st, ph - st], axis=1))
             flat = _project_batch(cands.reshape(-1, 9))
-            vals = trace_norm_diff_batch(m, _chi_batch(flat)).reshape(active.size, 22)
+            vals = trace_norm_diff_batch(np.repeat(m, 22, axis=0),
+                                         _chi_batch(flat)).reshape(active.size, 22)
             best_k = np.argmin(vals, axis=1)
             best_v = vals[np.arange(active.size), best_k]
             improved = best_v < fs[active] - 1e-15
@@ -249,46 +241,67 @@ def _pattern_search_batch(m: np.ndarray, x0s: np.ndarray) -> np.ndarray:
             xs[moved] = flat.reshape(active.size, 22, 9)[improved, best_k[improved]]
             fs[moved] = best_v[improved]
             steps[active[~improved]] *= 0.5
-    return fs
+    return fs.reshape(n_states, k)
 
 
-def tdd_bruteforce(rho, n_starts: int = 12, seed: int = 0) -> float:
+def _density_matrix(rho) -> np.ndarray:
+    """One validated 4x4 complex density matrix from a DimerDensityMatrix
+    or an array-like."""
+    if isinstance(rho, DimerDensityMatrix):
+        return rho.validate().matrix().astype(complex)
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
+    if np.abs(m - m.conj().T).max() > 1e-10:
+        raise ValueError("matrix is not Hermitian")
+    vals = np.linalg.eigvalsh(m)
+    if vals.min() < -1e-8:
+        raise ValueError(f"matrix has eigenvalue {vals.min():.3e} < -1e-8")
+    if abs(vals.sum() - 1.0) > 1e-6:
+        raise ValueError(f"trace {vals.sum():.6g} deviates from 1")
+    return m
+
+
+def tdd_bruteforce(rho, n_starts: int = 12, seed: int = 0):
     """Minimal trace distance from rho to the classical-quantum set.
 
-    The starts are rho dephased along n_starts // 2 measurement axes,
-    topped up to n_starts with uniform draws over the parameter box from
-    `numpy.random.default_rng(seed)`. Deterministic for fixed
-    (n_starts, seed); n_starts >= 8 required.
-    Warns if the two best starts disagree by more than 1e-3 (possible
-    non-convergence).
+    rho is one state (a DimerDensityMatrix or a 4x4 array), for which a
+    float is returned, or a stack of S states (a sequence of either, or
+    an (S, 4, 4) array), for which an array of S floats is returned; all
+    states of a stack are searched together, and each value equals that
+    of a call on the state alone. Every state is validated, and the
+    first invalid one raises the ValueError a call on it alone raises.
+
+    The starts of each state are the state dephased along n_starts // 2
+    measurement axes, topped up to n_starts with uniform draws over the
+    parameter box from `numpy.random.default_rng(seed)` (the same draws
+    for every state). Deterministic for fixed (n_starts, seed);
+    n_starts >= 8 required.
+    Warns, once per state, if a state's two best starts disagree by more
+    than 1e-3 (possible non-convergence).
     """
     if n_starts < 8:
         raise ValueError(f"n_starts must be >= 8, got {n_starts}")
-    if isinstance(rho, DimerDensityMatrix):
-        m = rho.validate().matrix().astype(complex)
-    else:
-        m = np.asarray(rho, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("matrix is not Hermitian")
-        vals = np.linalg.eigvalsh(m)
-        if vals.min() < -1e-8:
-            raise ValueError(f"matrix has eigenvalue {vals.min():.3e} < -1e-8")
-        if abs(vals.sum() - 1.0) > 1e-6:
-            raise ValueError(f"trace {vals.sum():.6g} deviates from 1")
+    single = (isinstance(rho, DimerDensityMatrix) or not np.iterable(rho)
+              or (len(rho) > 0 and np.ndim(rho[0]) == 1))
+    ms = np.array([_density_matrix(r) for r in ([rho] if single else rho)],
+                  dtype=complex).reshape(-1, 4, 4)
+    n_states = ms.shape[0]
 
     dirs = np.array(_measurement_directions(n_starts // 2))
     u = np.random.default_rng(seed).random((n_starts - dirs.shape[0], 9))
     lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
     hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
-    rho4 = m.reshape(2, 2, 2, 2)
-    starts = np.vstack([_dephase_batch(rho4, dirs[:, 0], dirs[:, 1]),
-                        lo + (hi - lo) * u])
+    warm = _dephase_batch(ms.reshape(-1, 2, 2, 2, 2),
+                          np.broadcast_to(dirs[:, 0], (n_states, dirs.shape[0])),
+                          np.broadcast_to(dirs[:, 1], (n_states, dirs.shape[0])))
+    uniform = np.broadcast_to(lo + (hi - lo) * u, (n_states,) + u.shape)
+    starts = np.concatenate([warm, uniform], axis=1)
 
-    finals = sorted(_pattern_search_batch(m, starts))
-    if len(finals) > 1 and finals[1] - finals[0] > _DISAGREE_WARN:
-        warnings.warn("classical-quantum search starts disagree by "
-                      f"{finals[1] - finals[0]:.2e}; result may not be converged",
-                      stacklevel=2)
-    return finals[0]
+    finals = np.sort(_pattern_search_batch(ms, starts), axis=1)
+    for f in finals:
+        if f[1] - f[0] > _DISAGREE_WARN:
+            warnings.warn("classical-quantum search starts disagree by "
+                          f"{f[1] - f[0]:.2e}; result may not be converged",
+                          stacklevel=2)
+    return float(finals[0, 0]) if single else finals[:, 0]

@@ -243,12 +243,15 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     diagnostics = {"psd_violations": int(np.sum(table[:, 6] < 0.5))}
     if spec.oracle_check is not None:
         from .oracle import qd_bruteforce, tdd_bruteforce
+        idxs = np.arange(0, n, int(spec.oracle_check))
+        entries = thermal_entries_grid(*(coords[idxs, k] for k in range(5)))
+        states = [DimerDensityMatrix(*(float(e[i]) for e in entries))
+                  for i in range(idxs.size)]
+        tdd = tdd_bruteforce(states, n_starts=8, seed=seed)
         checks = []
-        for idx in range(0, n, int(spec.oracle_check)):
-            entries = thermal_entries_grid(*(coords[idx, k] for k in range(5)))
-            state = DimerDensityMatrix(*(float(e) for e in entries))
+        for idx, state, tdd_search in zip(idxs.tolist(), states, tdd):
             qd_res = abs(table[idx, 0] - qd_bruteforce(state, n_grid=24, n_refine=6))
-            tdd_res = abs(table[idx, 1] - tdd_bruteforce(state, n_starts=8, seed=seed))
+            tdd_res = abs(table[idx, 1] - tdd_search)
             checks.append((idx, float(qd_res), float(tdd_res)))
         diagnostics["oracle"] = checks
 
@@ -265,17 +268,17 @@ def emit_csv(result: SweepResult, path) -> None:
     of the same spec and seed is byte-identical.
     """
     n = result.coords.shape[0]
-    data = np.empty((n, len(CSV_COLUMNS)))
-    data[:, :5] = result.coords
-    data[:, 5:12] = result.table
+    block = np.empty((_CSV_BLOCK, len(CSV_COLUMNS)))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in result.header.items():
                 fh.write(f"# {key} = {value}\n")
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for i in range(0, n, _CSV_BLOCK):
-                block = data[i:i + _CSV_BLOCK]
-                fh.write((_CSV_ROW * block.shape[0]) % tuple(block.ravel().tolist()))
+                k = min(_CSV_BLOCK, n - i)
+                block[:k, :5] = result.coords[i:i + k]
+                block[:k, 5:] = result.table[i:i + k]
+                fh.write((_CSV_ROW * k) % tuple(block[:k].ravel().tolist()))
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
 

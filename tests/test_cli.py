@@ -143,16 +143,18 @@ class TestVerify:
 
     def test_figures_suite_prints_only_check_lines(self, capsys):
         # The determinism check runs CLI sweeps; their "wrote N rows"
-        # lines must not reach the report.
+        # lines must not reach the report, which is one line per check
+        # plus the summary, all on stdout.
         assert main(["verify", "--suite", "figures"]) == 2
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
-        assert len(lines) == 9
-        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        assert len(lines) == 10
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
         failed = [line.split(":")[0][len("FAIL "):] for line in lines
                   if line.startswith("FAIL ")]
         assert failed == list(acceptance.KNOWN_FAILING)
-        assert captured.err == "2 check(s) failed\n"
+        assert lines[-1] == "2 check(s) failed"
+        assert captured.err == ""
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:

@@ -187,9 +187,9 @@ class TestVectorized:
         # scales with 1/T is not degenerate: tdd ~ 2e-8 here, |g1| = 4e-8.
         states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
                                     ThermalPoint(1e7)))
-        for s in states:
-            assert correlation_report(s).tdd == pytest.approx(
-                tdd_bruteforce(s, n_starts=8, seed=0), abs=1e-9)
+        searched = tdd_bruteforce(states, n_starts=8, seed=0)
+        for s, search in zip(states, searched, strict=True):
+            assert correlation_report(s).tdd == pytest.approx(search, abs=1e-9)
 
     def test_cold_box_tdd_is_g1(self):
         # With gamma = h = Jz = 0, r14 = 0, so only the weight a is non-zero

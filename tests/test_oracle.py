@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diamondqc.measures import correlation_report
-from diamondqc.model import correlators, thermal_state
+from diamondqc.measures import correlation_report, x_state_measures
+from diamondqc.model import correlators, thermal_entries_grid, thermal_state
 from diamondqc.oracle import (CQStateParam, FiniteChainSpec,
                               calibrate_conventions, cq_state,
                               enumerate_reduced_state,
@@ -241,3 +241,86 @@ class TestMeasuredStateSearch:
         s = DimerDensityMatrix(r11=0.5, r22=0.0, r33=0.0, r44=0.5,
                                r14=0.5, r23=0.0)
         assert tdd_bruteforce(s) == pytest.approx(1.0, abs=1e-7)
+
+
+def cold_box_spot_check_states():
+    """The states a 41x41 cold-box sweep (gamma = h = Jz = 0, T/J in
+    [0.002, 0.05]) checks with --oracle-every 256: rows 0, 256, ..., 1536."""
+    j0, t = np.meshgrid(np.linspace(-2.0, 2.0, 41), np.linspace(0.002, 0.05, 41),
+                        indexing="ij")
+    idx = np.arange(0, j0.size, 256)
+    entries = thermal_entries_grid(j0.ravel()[idx], t.ravel()[idx], 0.0, 0.0, 0.0)
+    return [DimerDensityMatrix(*(float(e[i]) for e in entries))
+            for i in range(idx.size)]
+
+
+def degenerate_tdd_states():
+    """The 38 states of test_measures::test_degenerate_tdd_matches_search:
+    four Werner states, the 33 cold-box points where the closed-form tdd
+    denominator vanishes, and one hot state."""
+    states = [DimerDensityMatrix(r11=(1.0 - p) / 4.0, r22=(1.0 + p) / 4.0,
+                                 r33=(1.0 + p) / 4.0, r44=(1.0 - p) / 4.0,
+                                 r14=0.0, r23=-p / 2.0)
+              for p in (0.1, 0.3, 0.5, 0.7)]
+    j0 = np.linspace(-2.0, 2.0, 41)[:, None]
+    t = np.linspace(0.002, 0.05, 41)[None, :]
+    entries = [e.ravel() for e in thermal_entries_grid(j0, t, 0.0, 0.0, 0.0)]
+    out = x_state_measures(*entries)
+    den = (out["tdd_gmax_sq"] - out["tdd_gmin_sq"]
+           + out["tdd_g1"] ** 2 - out["tdd_g2"] ** 2)
+    states += [DimerDensityMatrix(*(float(e[i]) for e in entries))
+               for i in np.nonzero(np.abs(den) < 1e-12)[0]]
+    states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
+                                ThermalPoint(1e7)))
+    return states
+
+
+def h_scan_states():
+    """Every tenth state of the verify suite's 100-state h-scan."""
+    states = [thermal_state(ModelParams(gamma=0.5, jz=0.3, j0=-0.3, h=float(h)),
+                            ThermalPoint(t))
+              for t in (0.2, 0.5, 0.7, 1.0, 1.5)
+              for h in np.linspace(-2.0, 2.0, 20)]
+    return states[::10]
+
+
+@pytest.fixture(scope="module")
+def searched_alone():
+    """Each state's search result from a call on that state alone."""
+    states = (cold_box_spot_check_states() + degenerate_tdd_states()
+              + h_scan_states())
+    assert len(states) == 55
+    return states, [tdd_bruteforce(s, n_starts=8, seed=0) for s in states]
+
+
+class TestBatchedSearch:
+    # A stack is searched in one loop, but no search rule looks past one
+    # start, so every value must equal the lone search's exactly.
+    def test_stack_equals_states_alone(self, searched_alone):
+        states, alone = searched_alone
+        got = tdd_bruteforce(states, n_starts=8, seed=0)
+        assert isinstance(got, np.ndarray) and got.shape == (55,)
+        assert got.tolist() == alone
+
+    def test_reversed_stack_gives_reversed_values(self, searched_alone):
+        states, alone = searched_alone
+        picked = states[:7] + states[45:]  # the cold-box and h-scan states
+        want = alone[:7] + alone[45:]
+        matrices = np.stack([s.matrix() for s in picked[::-1]])
+        got = tdd_bruteforce(matrices, n_starts=8, seed=0)
+        assert got.tolist() == want[::-1]
+
+    def test_one_element_stack_equals_scalar_call(self, searched_alone):
+        states, alone = searched_alone
+        got = tdd_bruteforce([states[0]], n_starts=8, seed=0)
+        assert got.shape == (1,)
+        assert got[0] == alone[0]
+        assert isinstance(alone[0], float)
+
+    @pytest.mark.parametrize("bad", [np.eye(4), np.triu(np.full((4, 4), 0.25))])
+    def test_invalid_member_raises_as_alone(self, bad):
+        with pytest.raises(ValueError) as alone:
+            tdd_bruteforce(bad)
+        with pytest.raises(ValueError) as stacked:
+            tdd_bruteforce([BELL, bad, MIXED])
+        assert str(stacked.value) == str(alone.value)
