@@ -27,9 +27,12 @@ T_AXIS_FLOOR = 0.02
 
 _CHUNK_SIZE = 1 << 14
 # emit_csv formats rows a block at a time, with one %-operation on the row
-# format repeated; a block of 4096 rows is a string of about 0.5 MB.
+# format repeated; a block of 4096 rows is a string of about 0.5 MB. The
+# five coordinate columns and psd_flag hold few distinct values in a block,
+# so each distinct value is formatted once and enters its rows through a %s
+# slot; the six measure columns are formatted per row.
 _CSV_BLOCK = 4096
-_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
+_CSV_ROW = ",".join(["%s"] * 5 + ["%.12g"] * 6 + ["%s"]) + "\n"
 _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
                "eig_min", "psd_flag")
 
@@ -40,6 +43,14 @@ class SweepConfigError(ValueError):
 
 def _fmt(value: float) -> str:
     return "%.12g" % float(value)
+
+
+def _fmt_distinct(col: np.ndarray) -> np.ndarray:
+    """`_fmt` of each float64 in `col`, as an object array of strings, with
+    each distinct bit pattern formatted once (so -0.0 stays apart from 0.0)."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse]
 
 
 @dataclass(frozen=True)
@@ -189,14 +200,13 @@ def grid_coords(spec: SweepSpec) -> np.ndarray:
     return coords
 
 
-def _chunk_measures(coords_chunk: np.ndarray) -> np.ndarray:
+def _chunk_measures(coords_chunk: np.ndarray, out: np.ndarray) -> None:
+    """Evaluate one chunk of coordinates into its (rows, 7) slice of the table."""
     j0, t, h, gamma, jz = (coords_chunk[:, k] for k in range(5))
     entries = thermal_entries_grid(j0, t, h, gamma, jz)
     vals = x_state_measures(*entries)
-    out = np.empty((coords_chunk.shape[0], len(_TABLE_KEYS)))
     for k, key in enumerate(_TABLE_KEYS):
-        out[:, k] = np.asarray(vals[key], dtype=float)
-    return out
+        out[:, k] = vals[key]
 
 
 def _build_header(spec: SweepSpec, seed: int, n_rows: int,
@@ -228,17 +238,18 @@ def _build_header(spec: SweepSpec, seed: int, n_rows: int,
 def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     """Evaluate every grid point of a validated spec.
 
-    Rows are evaluated in chunks of `_CHUNK_SIZE`; every row depends on
-    its own coordinates only, so the chunk size does not change the
-    result. Each PSD violation is recorded in the diagnostics but the
-    offending row is still reported.
+    Rows are evaluated in chunks of `_CHUNK_SIZE`, each written into its
+    slice of one preallocated (n, 7) table; every row depends on its own
+    coordinates only, so the chunk size does not change the result. Each
+    PSD violation is recorded in the diagnostics but the offending row is
+    still reported.
     """
     spec.validate()
     coords = grid_coords(spec)
     n = coords.shape[0]
-    parts = [_chunk_measures(coords[i:i + _CHUNK_SIZE])
-             for i in range(0, n, _CHUNK_SIZE)]
-    table = np.vstack(parts)
+    table = np.empty((n, len(_TABLE_KEYS)))
+    for i in range(0, n, _CHUNK_SIZE):
+        _chunk_measures(coords[i:i + _CHUNK_SIZE], table[i:i + _CHUNK_SIZE])
 
     diagnostics = {"psd_violations": int(np.sum(table[:, 6] < 0.5))}
     if spec.oracle_check is not None:
@@ -263,12 +274,15 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
 def emit_csv(result: SweepResult, path) -> None:
     """Write a sweep as `# key = value` header lines plus one CSV row per point.
 
-    Floats use 12 significant digits; rows follow row-major axis order;
-    the file is newline-terminated and carries no timestamp, so a rerun
-    of the same spec and seed is byte-identical.
+    Floats are written as "%.12g" writes them; rows follow row-major axis
+    order; the file is newline-terminated and carries no timestamp, so a
+    rerun of the same spec and seed is byte-identical. Rows are written a
+    block of `_CSV_BLOCK` at a time, through one reusable block array. In
+    a block, the coordinate and psd_flag strings are formatted once per
+    distinct value, told apart by bit pattern so that -0.0 stays "-0".
     """
     n = result.coords.shape[0]
-    block = np.empty((_CSV_BLOCK, len(CSV_COLUMNS)))
+    block = np.empty((_CSV_BLOCK, len(CSV_COLUMNS)), dtype=object)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in result.header.items():
@@ -276,8 +290,11 @@ def emit_csv(result: SweepResult, path) -> None:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for i in range(0, n, _CSV_BLOCK):
                 k = min(_CSV_BLOCK, n - i)
-                block[:k, :5] = result.coords[i:i + k]
-                block[:k, 5:] = result.table[i:i + k]
+                coords, table = result.coords[i:i + k], result.table[i:i + k]
+                for j in range(5):
+                    block[:k, j] = _fmt_distinct(coords[:, j])
+                block[:k, 5:11] = table[:, :6]
+                block[:k, 11] = _fmt_distinct(table[:, 6])
                 fh.write((_CSV_ROW * k) % tuple(block[:k].ravel().tolist()))
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
@@ -382,8 +399,6 @@ def read_sweep_config(path) -> SweepSpec:
             raise SweepConfigError(f"unknown config section: [{section}]")
     if not parser.has_section("axis1"):
         raise SweepConfigError("config must define an [axis1] section")
-    if parser.has_section("axis2") and not parser.has_section("axis1"):
-        raise SweepConfigError("[axis2] given without [axis1]")
 
     def parse_axis(section: str) -> Axis:
         items = dict(parser.items(section))

@@ -264,6 +264,20 @@ class TestRunSweep:
         assert np.all(res.column("tdd") <= 1e-3)
         assert np.all(res.column("psd_flag") == 1.0)
 
+    def test_chunks_fill_one_preallocated_table(self):
+        # Each chunk is written into its slice of one (n, 7) table. At 801
+        # points the coordinates and the table take 61.6 MB; evaluating the
+        # chunks into parts and stacking them would hold a second 35.9 MB
+        # copy of the table (a 94 MB peak).
+        spec = figure_preset("fig2a", 801)
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2 ** 20
+
     def test_oracle_check_diagnostics(self):
         spec = with_oracle_check(small_spec(2, 2), every=2)
         res = run_sweep(spec, seed=0)
@@ -324,11 +338,16 @@ class TestCsvOutput:
     def test_rows_are_percent_formatted_across_blocks(self, tmp_path):
         # Rows are formatted a block at a time; each must read exactly as
         # "%.12g" writes its floats, including the awkward values, in a
-        # table whose last block is partial.
+        # table whose last block is partial. The coordinate and psd_flag
+        # columns are formatted once per distinct value in a block: a
+        # dedupe by float equality would write 0.0 and -0.0 alike.
         n = _CSV_BLOCK + 3
         special = [-0.0, float("nan"), 1e-300, 0.1 + 0.2, -1e300, 2.0 ** -1074]
         values = np.random.default_rng(5).normal(size=(n, 12))
         values[:, 0] = np.resize(special, n)
+        values[:, 2] = np.resize([0.0, -0.0, 0.0, 1.5, -0.0, 1.5, 1.5], n)
+        values[:, 3] = float("nan")
+        values[:, 11] = np.resize([0.0, 1.0, -0.0], n)
         values[_CSV_BLOCK - 1:_CSV_BLOCK + 1, 1:] = 0.1 + 0.2
         res = SweepResult(spec=small_spec(2, 2), coords=values[:, :5],
                           table=values[:, 5:], header={"n_rows": str(n)})
@@ -337,8 +356,24 @@ class TestCsvOutput:
         rows = path.read_bytes().split(b"\n")[2:]
         want = [",".join("%.12g" % v for v in row).encode() for row in values]
         assert rows == want + [b""]
-        assert [row.split(b",")[0] for row in rows[:6]] == [
+        cells = [row.split(b",") for row in rows[:7]]
+        assert [c[0] for c in cells[:6]] == [
             b"-0", b"nan", b"1e-300", b"0.3", b"-1e+300", b"4.94065645841e-324"]
+        assert [c[2] for c in cells] == [b"0", b"-0", b"0", b"1.5", b"-0", b"1.5", b"1.5"]
+        assert {c[3] for c in cells} == {b"nan"}
+        assert [c[11] for c in cells[:3]] == [b"0", b"1", b"-0"]
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig5"])
+    def test_preset_rows_match_per_value_formatting(self, tmp_path, name):
+        # On real grids most coordinate strings come from the once-per-value
+        # formatting; every row must still read as a per-value "%.12g" join.
+        res = run_sweep(figure_preset(name))
+        path = tmp_path / f"{name}.csv"
+        emit_csv(res, path)
+        head = "".join(f"# {key} = {value}\n" for key, value in res.header.items())
+        rows = np.hstack((res.coords, res.table)).tolist()
+        body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == (head + ",".join(CSV_COLUMNS) + "\n" + body).encode()
 
     def test_writes_through_one_reusable_block(self, tmp_path):
         # Rows are copied block by block into one reusable array, so the
@@ -531,8 +566,11 @@ values = 0.2 0.5 0.7
             read_sweep_config(self.write(tmp_path, self.GOOD + "\n[plot]\n"))
 
     def test_missing_axis1(self, tmp_path):
-        with pytest.raises(SweepConfigError, match="axis1"):
-            read_sweep_config(self.write(tmp_path, "[fixed]\ngamma = 1\n"))
+        for text in ("[fixed]\ngamma = 1\n",
+                     "[axis2]\nname = T_over_J\nvalues = 0.2 0.5\n"):
+            with pytest.raises(SweepConfigError,
+                               match=r"must define an \[axis1\] section"):
+                read_sweep_config(self.write(tmp_path, text))
 
     def test_unknown_axis_key(self, tmp_path):
         text = self.GOOD.replace("n_points = 5", "n_points = 5\ncenter = 0")
