@@ -39,7 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=None,
                        help="points per ranged axis (presets only; default 201)")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="accepted and ignored; sweeps run in one process")
+                       help="accepted and ignored; sweeps are evaluated in one "
+                            "process and the CSV is formatted on every usable core, "
+                            "with the same bytes on any core count")
     sweep.add_argument("--oracle-every", type=int, default=None, dest="oracle_every",
                        help="re-verify every k-th grid point against brute force")
     sweep.add_argument("--seed", type=int, default=0,

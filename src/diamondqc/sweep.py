@@ -3,12 +3,14 @@
 A sweep is described by a SweepSpec: values for the five reduced
 parameters (J0_over_J, T_over_J, h_over_J, gamma, Jz_over_J), one or
 two of them promoted to grid axes. Grids are evaluated in one process,
-in fixed-size chunks that bound the memory of the intermediate arrays,
-and rows are always emitted in row-major axis order.
+in fixed-size chunks that bound the memory of the intermediate arrays.
+The CSV is formatted on every usable core, and rows are always emitted in
+row-major axis order, so its bytes do not depend on the core count.
 """
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +32,8 @@ _CHUNK_SIZE = 1 << 14
 # format repeated; a block of 4096 rows is a string of about 0.5 MB. The
 # five coordinate columns and psd_flag hold few distinct values in a block,
 # so each distinct value is formatted once and enters its rows through a %s
-# slot; the six measure columns are formatted per row.
+# slot; the six measure columns are formatted per row. A large body is cut
+# at block boundaries into one contiguous row range per writer process.
 _CSV_BLOCK = 4096
 _CSV_ROW = ",".join(["%s"] * 5 + ["%.12g"] * 6 + ["%s"]) + "\n"
 _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
@@ -271,31 +274,101 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
                        header=header, diagnostics=diagnostics)
 
 
+def _write_rows(fh, coords: np.ndarray, table: np.ndarray) -> None:
+    """Write one CSV row per row of `coords` and `table` to `fh`, a block of
+    `_CSV_BLOCK` rows at a time through one reusable block array. In a
+    block, the coordinate and psd_flag strings are formatted once per
+    distinct value, told apart by bit pattern so that -0.0 stays "-0"."""
+    n = coords.shape[0]
+    block = np.empty((_CSV_BLOCK, len(CSV_COLUMNS)), dtype=object)
+    for i in range(0, n, _CSV_BLOCK):
+        k = min(_CSV_BLOCK, n - i)
+        c, t = coords[i:i + k], table[i:i + k]
+        for j in range(5):
+            block[:k, j] = _fmt_distinct(c[:, j])
+        block[:k, 5:11] = t[:, :6]
+        block[:k, 11] = _fmt_distinct(t[:, 6])
+        fh.write((_CSV_ROW * k) % tuple(block[:k].ravel().tolist()))
+
+
+def _writer_count(n_blocks: int) -> int:
+    """Processes that format a CSV body of `n_blocks` blocks: one per usable
+    core, with at least two blocks each. Only Linux has the unnamed files
+    the writers hand their rows back in (and fork, the core mask and
+    sendfile to any output); elsewhere one process writes every row."""
+    if not hasattr(os, "memfd_create"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // 2))
+
+
+def _fork_writer(fd: int, coords: np.ndarray, table: np.ndarray) -> int:
+    """Fork a process that writes the rows into the file `fd` and exits;
+    returns its pid. The child leaves through os._exit, with status 0 once
+    every row is written and 1 on any error, so it runs none of the
+    parent's exit handlers and flushes none of its buffers."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as part:
+                _write_rows(part, coords, table)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _append(out_fd: int, fd: int) -> None:
+    """Append the whole file `fd` to `out_fd` in the kernel; `out_fd` may be
+    a pipe."""
+    size, offset = os.fstat(fd).st_size, 0
+    while offset < size:
+        offset += os.sendfile(out_fd, fd, offset, size - offset)
+
+
 def emit_csv(result: SweepResult, path) -> None:
     """Write a sweep as `# key = value` header lines plus one CSV row per point.
 
     Floats are written as "%.12g" writes them; rows follow row-major axis
     order; the file is newline-terminated and carries no timestamp, so a
-    rerun of the same spec and seed is byte-identical. Rows are written a
-    block of `_CSV_BLOCK` at a time, through one reusable block array. In
-    a block, the coordinate and psd_flag strings are formatted once per
-    distinct value, told apart by bit pattern so that -0.0 stays "-0".
+    rerun of the same spec and seed is byte-identical. Rows are formatted
+    by `_write_rows` on every usable core: the body is cut at `_CSV_BLOCK`
+    boundaries into `_writer_count` contiguous row ranges. This process
+    writes the first range straight to `path`; each other range is written
+    by a forked child into an unnamed file, which is appended to `path` in
+    row order once the child has exited. The bytes do not depend on the
+    number of writers, and `path` may be a pipe such as /dev/stdout.
     """
-    n = result.coords.shape[0]
-    block = np.empty((_CSV_BLOCK, len(CSV_COLUMNS)), dtype=object)
+    coords, table = result.coords, result.table
+    n = coords.shape[0]
+    n_blocks = -(-n // _CSV_BLOCK)
+    w = _writer_count(n_blocks)
+    cuts = [min(n, k * n_blocks // w * _CSV_BLOCK) for k in range(w)] + [n]
+    pids, fds = [], []
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in result.header.items():
                 fh.write(f"# {key} = {value}\n")
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for i in range(0, n, _CSV_BLOCK):
-                k = min(_CSV_BLOCK, n - i)
-                coords, table = result.coords[i:i + k], result.table[i:i + k]
-                for j in range(5):
-                    block[:k, j] = _fmt_distinct(coords[:, j])
-                block[:k, 5:11] = table[:, :6]
-                block[:k, 11] = _fmt_distinct(table[:, 6])
-                fh.write((_CSV_ROW * k) % tuple(block[:k].ravel().tolist()))
+            try:
+                for a, b in zip(cuts[1:], cuts[2:]):
+                    fds.append(os.memfd_create("diamondqc-csv"))
+                    pids.append(_fork_writer(fds[-1], coords[a:b], table[a:b]))
+                _write_rows(fh, coords[:cuts[1]], table[:cuts[1]])
+                fh.flush()
+                for k, (a, b) in enumerate(zip(cuts[1:], cuts[2:])):
+                    status = os.waitpid(pids[k], 0)[1]
+                    pids[k] = None
+                    if status:
+                        raise OSError(f"writer of rows {a} to {b} exited with "
+                                      f"status {os.waitstatus_to_exitcode(status)}")
+                    _append(fh.fileno(), fds[k])
+            finally:
+                for pid in pids:
+                    if pid is not None:
+                        os.waitpid(pid, 0)
+                for fd in fds:
+                    os.close(fd)
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
 

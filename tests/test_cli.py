@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import diamondqc
 from diamondqc import acceptance
 from diamondqc.cli import main
 from diamondqc.measures import correlation_report
@@ -125,6 +130,22 @@ class TestSweep:
                      "--out", str(out)])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_out_may_be_a_pipe(self, tmp_path):
+        # The forked writers' rows are appended to the output by sendfile,
+        # which also writes to a pipe.
+        out = tmp_path / "fig2a.csv"
+        args = [sys.executable, "-m", "diamondqc.cli", "sweep", "--preset", "fig2a"]
+        src = os.path.dirname(os.path.dirname(diamondqc.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        piped = subprocess.run(args + ["--out", "/dev/stdout"], env=env,
+                               capture_output=True, check=True).stdout
+        subprocess.run(args + ["--out", str(out)], env=env, capture_output=True,
+                       check=True)
+        body, wrote = piped[:-1].rsplit(b"\n", 1)
+        assert wrote == b"wrote 40401 rows to /dev/stdout"
+        assert body + b"\n" == out.read_bytes()
 
     def test_seed_flag_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,7 @@
 """Tests for sweep configuration, execution, and CSV output."""
+import errno
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import diamondqc
+from diamondqc import sweep
 from diamondqc.cli import main as cli_main
 from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
@@ -27,6 +30,24 @@ def small_spec(n1=3, n2=4):
         fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3},
         axes=(Axis("h_over_J", -2.0, 2.0, n1),
               Axis("T_over_J", 0.2, 1.5, n2))).validate()
+
+
+def per_value_csv(res):
+    """The CSV of a result with every float written by its own "%.12g"."""
+    head = "".join(f"# {key} = {value}\n" for key, value in res.header.items())
+    rows = np.hstack((res.coords, res.table)).tolist()
+    body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
+    return (head + ",".join(CSV_COLUMNS) + "\n" + body).encode()
+
+
+def random_result(n, seed=0):
+    """A result of n rows of random values on no grid, with repeats and
+    signed zeros in the coordinate and psd_flag columns."""
+    values = np.random.default_rng(seed).normal(size=(n, 12))
+    values[:, 2] = np.resize([0.0, -0.0, 1.5], n)
+    values[:, 11] = np.resize([1.0, 0.0, 1.0, -0.0], n)
+    return SweepResult(spec=small_spec(2, 2), coords=values[:, :5],
+                       table=values[:, 5:], header={"n_rows": str(n)})
 
 
 class TestAxis:
@@ -370,10 +391,62 @@ class TestCsvOutput:
         res = run_sweep(figure_preset(name))
         path = tmp_path / f"{name}.csv"
         emit_csv(res, path)
-        head = "".join(f"# {key} = {value}\n" for key, value in res.header.items())
-        rows = np.hstack((res.coords, res.table)).tolist()
-        body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
-        assert path.read_bytes() == (head + ",".join(CSV_COLUMNS) + "\n" + body).encode()
+        assert path.read_bytes() == per_value_csv(res)
+
+    # Row counts: below one block, exactly two blocks, exactly three (one
+    # block per range with three writers) and a ragged last block.
+    @pytest.mark.parametrize("n", [100, 2 * _CSV_BLOCK, 3 * _CSV_BLOCK,
+                                   5 * _CSV_BLOCK + 7])
+    @pytest.mark.parametrize("writers", [1, 2, 3])
+    def test_bytes_do_not_depend_on_writer_count(self, tmp_path, monkeypatch,
+                                                 n, writers):
+        # Each writer but the first is a forked child that formats its
+        # contiguous row range; where there are more writers than blocks,
+        # the last ranges are empty.
+        forked = []
+        fork_writer = sweep._fork_writer
+        monkeypatch.setattr(sweep, "_writer_count", lambda n_blocks: writers)
+        monkeypatch.setattr(sweep, "_fork_writer",
+                            lambda *args: forked.append(1) or fork_writer(*args))
+        res = random_result(n)
+        path = tmp_path / "rows.csv"
+        emit_csv(res, path)
+        assert len(forked) == writers - 1
+        assert path.read_bytes() == per_value_csv(res)
+
+    def test_preset_through_two_writers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "_writer_count", lambda n_blocks: 2)
+        res = run_sweep(figure_preset("fig2a"))
+        path = tmp_path / "fig2a.csv"
+        emit_csv(res, path)
+        assert path.read_bytes() == per_value_csv(res)
+
+    def test_writer_count_follows_cores_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert [sweep._writer_count(b) for b in (0, 1, 3, 4, 6, 157)] == [1, 1, 1, 2, 3, 3]
+        monkeypatch.delattr(os, "memfd_create")
+        assert sweep._writer_count(157) == 1
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_writer_leaves_no_process_or_file(self, tmp_path, monkeypatch,
+                                                     failing):
+        # A writer that fails, forked or not, fails the sweep with the path
+        # in the message; every child is reaped and no stray file is left.
+        parent, write_rows = os.getpid(), sweep._write_rows
+
+        def write_or_fail(fh, coords, table):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_rows(fh, coords, table)
+
+        monkeypatch.setattr(sweep, "_writer_count", lambda n_blocks: 3)
+        monkeypatch.setattr(sweep, "_write_rows", write_or_fail)
+        path = tmp_path / "rows.csv"
+        with pytest.raises(OSError, match=re.escape(f"sweep CSV to {path}")):
+            emit_csv(random_result(3 * _CSV_BLOCK), path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["rows.csv"]
 
     def test_writes_through_one_reusable_block(self, tmp_path):
         # Rows are copied block by block into one reusable array, so the
