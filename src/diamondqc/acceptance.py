@@ -331,11 +331,12 @@ def check_determinism() -> CheckResult:
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv")]
         base = ["sweep", "--preset", "fig2a", "--seed", "7", "--out"]
-        with contextlib.redirect_stdout(io.StringIO()):
+        # Each sweep's status line goes to stderr; keep it out of the report.
+        with contextlib.redirect_stderr(io.StringIO()) as log:
             codes = [main(base + [path]) for path in paths]
         if any(codes):
             return CheckResult("sweep-determinism(fig2a)", False,
-                               f"sweep exit codes {codes}")
+                               f"sweep exit codes {codes}: {log.getvalue().strip()}")
         rerun_same = filecmp.cmp(paths[0], paths[1], shallow=False)
         size = os.path.getsize(paths[0])
     detail = f"rerun identical: {rerun_same} ({size} bytes)"

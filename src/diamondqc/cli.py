@@ -39,9 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=None,
                        help="points per ranged axis (presets only; default 201)")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="accepted and ignored; sweeps are evaluated in one "
-                            "process and the CSV is formatted on every usable core, "
-                            "with the same bytes on any core count")
+                       help="accepted and ignored; sweeps are evaluated and their "
+                            "CSV is formatted on every usable core, with the same "
+                            "bytes on any core count")
     sweep.add_argument("--oracle-every", type=int, default=None, dest="oracle_every",
                        help="re-verify every k-th grid point against brute force")
     sweep.add_argument("--seed", type=int, default=0,
@@ -89,7 +89,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {result.coords.shape[0]} rows to {args.out}")
+    print(f"wrote {result.coords.shape[0]} rows to {args.out}", file=sys.stderr)
     if result.diagnostics.get("psd_violations"):
         print(f"warning: {result.diagnostics['psd_violations']} PSD-flagged rows",
               file=sys.stderr)

@@ -2,14 +2,16 @@
 
 A sweep is described by a SweepSpec: values for the five reduced
 parameters (J0_over_J, T_over_J, h_over_J, gamma, Jz_over_J), one or
-two of them promoted to grid axes. Grids are evaluated in one process,
-in fixed-size chunks that bound the memory of the intermediate arrays.
-The CSV is formatted on every usable core, and rows are always emitted in
-row-major axis order, so its bytes do not depend on the core count.
+two of them promoted to grid axes. Grids are evaluated in fixed-size
+chunks that bound the memory of the intermediate arrays, and both the
+evaluation and the CSV formatting run on every usable core, each process
+over one contiguous range of rows. Rows are always emitted in row-major
+axis order, so the bytes do not depend on the core count.
 """
 from __future__ import annotations
 
 import configparser
+import mmap
 import os
 from dataclasses import dataclass, field, replace
 
@@ -33,7 +35,8 @@ _CHUNK_SIZE = 1 << 14
 # five coordinate columns and psd_flag hold few distinct values in a block,
 # so each distinct value is formatted once and enters its rows through a %s
 # slot; the six measure columns are formatted per row. A large body is cut
-# at block boundaries into one contiguous row range per writer process.
+# at block boundaries into one contiguous row range per writer process, as
+# the grid is cut at chunk boundaries into one range per evaluator.
 _CSV_BLOCK = 4096
 _CSV_ROW = ",".join(["%s"] * 5 + ["%.12g"] * 6 + ["%s"]) + "\n"
 _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
@@ -242,17 +245,26 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     """Evaluate every grid point of a validated spec.
 
     Rows are evaluated in chunks of `_CHUNK_SIZE`, each written into its
-    slice of one preallocated (n, 7) table; every row depends on its own
-    coordinates only, so the chunk size does not change the result. Each
-    PSD violation is recorded in the diagnostics but the offending row is
-    still reported.
+    slice of one (n, 7) table in a shared anonymous mapping. The chunks are
+    cut into `_ranges` contiguous ranges: this process evaluates the first,
+    and a forked child evaluates each other range into the same table.
+    Every row depends on its own coordinates only, so neither the chunk
+    size nor the number of ranges changes the result. The oracle spot
+    checks run here once every range is done. Each PSD violation is
+    recorded in the diagnostics but the offending row is still reported.
     """
     spec.validate()
     coords = grid_coords(spec)
     n = coords.shape[0]
-    table = np.empty((n, len(_TABLE_KEYS)))
-    for i in range(0, n, _CHUNK_SIZE):
-        _chunk_measures(coords[i:i + _CHUNK_SIZE], table[i:i + _CHUNK_SIZE])
+    width = len(_TABLE_KEYS)
+    table = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=float).reshape(n, width)
+
+    def evaluate(k, a, b):
+        for i in range(a, b, _CHUNK_SIZE):
+            j = min(i + _CHUNK_SIZE, b)
+            _chunk_measures(coords[i:j], table[i:j])
+
+    _run_ranges(_ranges(n, _CHUNK_SIZE), evaluate)
 
     diagnostics = {"psd_violations": int(np.sum(table[:, 6] < 0.5))}
     if spec.oracle_check is not None:
@@ -291,31 +303,55 @@ def _write_rows(fh, coords: np.ndarray, table: np.ndarray) -> None:
         fh.write((_CSV_ROW * k) % tuple(block[:k].ravel().tolist()))
 
 
-def _writer_count(n_blocks: int) -> int:
-    """Processes that format a CSV body of `n_blocks` blocks: one per usable
-    core, with at least two blocks each. Only Linux has the unnamed files
-    the writers hand their rows back in (and fork, the core mask and
-    sendfile to any output); elsewhere one process writes every row."""
-    if not hasattr(os, "memfd_create"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // 2))
+def _ranges(n: int, unit: int) -> list:
+    """Cuts [0, ..., n] of `n` rows into contiguous ranges of whole
+    `unit`-row units (the last unit may be partial): one range per usable
+    core, with at least two units each. Only Linux has the unnamed files
+    the CSV writers hand their rows back in (and fork, the core mask and
+    sendfile to any output); elsewhere there is one range."""
+    units = -(-n // unit)
+    count = 1
+    if hasattr(os, "memfd_create"):
+        count = max(1, min(len(os.sched_getaffinity(0)), units // 2))
+    return [min(n, k * units // count * unit) for k in range(count)] + [n]
 
 
-def _fork_writer(fd: int, coords: np.ndarray, table: np.ndarray) -> int:
-    """Fork a process that writes the rows into the file `fd` and exits;
-    returns its pid. The child leaves through os._exit, with status 0 once
-    every row is written and 1 on any error, so it runs none of the
-    parent's exit handlers and flushes none of its buffers."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as part:
-                _write_rows(part, coords, table)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+def _run_ranges(cuts: list, work, collect=None) -> None:
+    """Run work(k, a, b) on each range [a, b) between consecutive `cuts`:
+    ranges 1.. each in a forked child, then range 0 in this process. The
+    children are reaped in row order, and collect(k) runs here after child
+    k has exited with status 0. A child leaves through os._exit, with
+    status 0 once its work is done and 1 on any error, so it runs none of
+    the parent's exit handlers and flushes none of its buffers. Every child
+    is reaped on every path; a failed child raises OSError naming its rows
+    and exit status. With one range nothing is forked. A child keeps only
+    the thread that forked it, so `work` must not call into BLAS."""
+    spans = list(zip(cuts, cuts[1:]))
+    pids = []
+    try:
+        for k, (a, b) in enumerate(spans[1:], start=1):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    work(k, a, b)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        work(0, *spans[0])
+        for k, (a, b) in enumerate(spans[1:], start=1):
+            status = os.waitpid(pids[k - 1], 0)[1]
+            pids[k - 1] = None
+            if status:
+                raise OSError(f"process for rows {a} to {b} exited with "
+                              f"status {os.waitstatus_to_exitcode(status)}")
+            if collect is not None:
+                collect(k)
+    finally:
+        for pid in pids:
+            if pid is not None:
+                os.waitpid(pid, 0)
 
 
 def _append(out_fd: int, fd: int) -> None:
@@ -333,40 +369,36 @@ def emit_csv(result: SweepResult, path) -> None:
     order; the file is newline-terminated and carries no timestamp, so a
     rerun of the same spec and seed is byte-identical. Rows are formatted
     by `_write_rows` on every usable core: the body is cut at `_CSV_BLOCK`
-    boundaries into `_writer_count` contiguous row ranges. This process
-    writes the first range straight to `path`; each other range is written
-    by a forked child into an unnamed file, which is appended to `path` in
-    row order once the child has exited. The bytes do not depend on the
-    number of writers, and `path` may be a pipe such as /dev/stdout.
+    boundaries into `_ranges` contiguous row ranges. This process writes
+    the first range straight to `path`; each other range is written by a
+    forked child into an unnamed file, which is appended to `path` in row
+    order once the child has exited. The bytes do not depend on the number
+    of writers, and `path` may be a pipe such as /dev/stdout.
     """
     coords, table = result.coords, result.table
-    n = coords.shape[0]
-    n_blocks = -(-n // _CSV_BLOCK)
-    w = _writer_count(n_blocks)
-    cuts = [min(n, k * n_blocks // w * _CSV_BLOCK) for k in range(w)] + [n]
-    pids, fds = [], []
+    cuts = _ranges(coords.shape[0], _CSV_BLOCK)
+    fds = []
+
+    def write(k, a, b):
+        if k == 0:
+            _write_rows(fh, coords[a:b], table[a:b])
+            fh.flush()
+            return
+        with open(fds[k - 1], "w", encoding="utf-8", newline="\n",
+                  closefd=False) as part:
+            _write_rows(part, coords[a:b], table[a:b])
+
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for key, value in result.header.items():
                 fh.write(f"# {key} = {value}\n")
             fh.write(",".join(CSV_COLUMNS) + "\n")
             try:
-                for a, b in zip(cuts[1:], cuts[2:]):
+                for _ in cuts[2:]:
                     fds.append(os.memfd_create("diamondqc-csv"))
-                    pids.append(_fork_writer(fds[-1], coords[a:b], table[a:b]))
-                _write_rows(fh, coords[:cuts[1]], table[:cuts[1]])
-                fh.flush()
-                for k, (a, b) in enumerate(zip(cuts[1:], cuts[2:])):
-                    status = os.waitpid(pids[k], 0)[1]
-                    pids[k] = None
-                    if status:
-                        raise OSError(f"writer of rows {a} to {b} exited with "
-                                      f"status {os.waitstatus_to_exitcode(status)}")
-                    _append(fh.fileno(), fds[k])
+                _run_ranges(cuts, write,
+                            lambda k: _append(fh.fileno(), fds[k - 1]))
             finally:
-                for pid in pids:
-                    if pid is not None:
-                        os.waitpid(pid, 0)
                 for fd in fds:
                     os.close(fd)
     except OSError as exc:

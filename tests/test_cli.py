@@ -90,7 +90,7 @@ class TestSweep:
         code = main(["sweep", "--preset", "fig4a", "--points", "5",
                      "--out", str(out)])
         assert code == 0
-        assert f"wrote 10 rows to {out}" in capsys.readouterr().out
+        assert f"wrote 10 rows to {out}" in capsys.readouterr().err
         assert out.exists()
 
     def test_config_sweep(self, tmp_path, capsys):
@@ -101,7 +101,7 @@ class TestSweep:
             "[axis1]\nname = T_over_J\nstart = 0.2\nstop = 1.0\nn_points = 4\n")
         out = tmp_path / "line.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        assert "wrote 4 rows" in capsys.readouterr().out
+        assert "wrote 4 rows" in capsys.readouterr().err
 
     def test_points_requires_preset(self, tmp_path, capsys):
         cfg = tmp_path / "s.ini"
@@ -133,19 +133,19 @@ class TestSweep:
 
     def test_out_may_be_a_pipe(self, tmp_path):
         # The forked writers' rows are appended to the output by sendfile,
-        # which also writes to a pipe.
+        # which also writes to a pipe; the status line goes to stderr, so
+        # the piped stream is the CSV alone.
         out = tmp_path / "fig2a.csv"
         args = [sys.executable, "-m", "diamondqc.cli", "sweep", "--preset", "fig2a"]
         src = os.path.dirname(os.path.dirname(diamondqc.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         piped = subprocess.run(args + ["--out", "/dev/stdout"], env=env,
-                               capture_output=True, check=True).stdout
+                               capture_output=True, check=True)
         subprocess.run(args + ["--out", str(out)], env=env, capture_output=True,
                        check=True)
-        body, wrote = piped[:-1].rsplit(b"\n", 1)
-        assert wrote == b"wrote 40401 rows to /dev/stdout"
-        assert body + b"\n" == out.read_bytes()
+        assert piped.stdout == out.read_bytes()
+        assert piped.stderr == b"wrote 40401 rows to /dev/stdout\n"
 
     def test_seed_flag_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -165,7 +165,7 @@ class TestVerify:
     def test_figures_suite_prints_only_check_lines(self, capsys):
         # The determinism check runs CLI sweeps; their "wrote N rows"
         # lines must not reach the report, which is one line per check
-        # plus the summary, all on stdout.
+        # plus the summary, all on stdout, with nothing on stderr.
         assert main(["verify", "--suite", "figures"]) == 2
         captured = capsys.readouterr()
         lines = captured.out.splitlines()

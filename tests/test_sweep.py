@@ -1,5 +1,6 @@
 """Tests for sweep configuration, execution, and CSV output."""
 import errno
+import mmap
 import os
 import re
 import subprocess
@@ -38,6 +39,28 @@ def per_value_csv(res):
     rows = np.hstack((res.coords, res.table)).tolist()
     body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
     return (head + ",".join(CSV_COLUMNS) + "\n" + body).encode()
+
+
+def line_spec(n):
+    """A spec of n rows along one field axis."""
+    return SweepSpec(
+        fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3, "T_over_J": 0.5},
+        axes=(Axis("h_over_J", -2.0, 2.0, n),)).validate()
+
+
+def force_ranges(monkeypatch, count):
+    """Cut both sweep stages into `count` ranges of whole units, as
+    `sweep._ranges` cuts them, whatever the core count (so some ranges are
+    empty where there are fewer units); returns a list that gets one entry
+    per fork."""
+    def ranges(n, unit):
+        units = -(-n // unit)
+        return [min(n, k * units // count * unit) for k in range(count)] + [n]
+
+    forked, fork = [], os.fork
+    monkeypatch.setattr(sweep, "_ranges", ranges)
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    return forked
 
 
 def random_result(n, seed=0):
@@ -285,19 +308,63 @@ class TestRunSweep:
         assert np.all(res.column("tdd") <= 1e-3)
         assert np.all(res.column("psd_flag") == 1.0)
 
+    # Row counts: one chunk (empty ranges once there are two or more),
+    # exactly two chunks, and three chunks plus a ragged fourth.
+    @pytest.mark.parametrize("n", [100, 2 * _CHUNK_SIZE, 3 * _CHUNK_SIZE + 7])
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    def test_table_does_not_depend_on_range_count(self, monkeypatch, n, ranges):
+        # Each range but the first is evaluated by a forked child into the
+        # shared table; the table must equal a one-shot evaluation bit for bit.
+        spec = line_spec(n)
+        coords = grid_coords(spec)
+        vals = x_state_measures(*thermal_entries_grid(*(coords[:, k] for k in range(5))))
+        direct = np.column_stack([vals[key] for key in sweep._TABLE_KEYS])
+        forked = force_ranges(monkeypatch, ranges)
+        res = run_sweep(spec)
+        assert len(forked) == ranges - 1
+        assert res.table.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_evaluator_leaves_no_process(self, monkeypatch, failing):
+        # An evaluator that fails, forked or not, fails the sweep, and every
+        # child is reaped; a failed child is named by its rows.
+        parent, chunk_measures = os.getpid(), sweep._chunk_measures
+
+        def measure_or_fail(coords, out):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise ValueError("evaluation failed")
+            chunk_measures(coords, out)
+
+        force_ranges(monkeypatch, 3)
+        monkeypatch.setattr(sweep, "_chunk_measures", measure_or_fail)
+        error, match = ((OSError, f"rows {_CHUNK_SIZE} to {2 * _CHUNK_SIZE} exited "
+                         "with status 1") if failing == "child"
+                        else (ValueError, "evaluation failed"))
+        with pytest.raises(error, match=match):
+            run_sweep(line_spec(3 * _CHUNK_SIZE))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_chunks_fill_one_preallocated_table(self):
-        # Each chunk is written into its slice of one (n, 7) table. At 801
-        # points the coordinates and the table take 61.6 MB; evaluating the
-        # chunks into parts and stacking them would hold a second 35.9 MB
-        # copy of the table (a 94 MB peak).
+        # Each chunk is written into its slice of one (n, 7) table: a shared
+        # anonymous mapping, which the forked evaluators fill in place.
+        # tracemalloc does not see the mapping. At 801 points it sees the
+        # 25.7 MB of coordinates and one chunk's temporaries; evaluating
+        # the chunks into parts and copying them into the table would add
+        # a traced 35.9 MB.
         spec = figure_preset("fig2a", 801)
         tracemalloc.start()
         try:
-            run_sweep(spec)
+            res = run_sweep(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * 2 ** 20
+        owner = res.table
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(owner.obj, mmap.mmap)
+        assert owner.nbytes == res.table.nbytes == 801 * 801 * 7 * 8
+        assert peak <= 48 * 2 ** 20
 
     def test_oracle_check_diagnostics(self):
         spec = with_oracle_check(small_spec(2, 2), every=2)
@@ -402,12 +469,8 @@ class TestCsvOutput:
                                                  n, writers):
         # Each writer but the first is a forked child that formats its
         # contiguous row range; where there are more writers than blocks,
-        # the last ranges are empty.
-        forked = []
-        fork_writer = sweep._fork_writer
-        monkeypatch.setattr(sweep, "_writer_count", lambda n_blocks: writers)
-        monkeypatch.setattr(sweep, "_fork_writer",
-                            lambda *args: forked.append(1) or fork_writer(*args))
+        # the first ranges are empty.
+        forked = force_ranges(monkeypatch, writers)
         res = random_result(n)
         path = tmp_path / "rows.csv"
         emit_csv(res, path)
@@ -415,17 +478,27 @@ class TestCsvOutput:
         assert path.read_bytes() == per_value_csv(res)
 
     def test_preset_through_two_writers(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sweep, "_writer_count", lambda n_blocks: 2)
+        force_ranges(monkeypatch, 2)
         res = run_sweep(figure_preset("fig2a"))
         path = tmp_path / "fig2a.csv"
         emit_csv(res, path)
         assert path.read_bytes() == per_value_csv(res)
 
     def test_writer_count_follows_cores_and_blocks(self, monkeypatch):
+        # One range per usable core, with at least two units each, cut at
+        # unit boundaries; writers count CSV blocks, evaluators chunks.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert [sweep._writer_count(b) for b in (0, 1, 3, 4, 6, 157)] == [1, 1, 1, 2, 3, 3]
+        for unit in (_CSV_BLOCK, _CHUNK_SIZE):
+            cuts = [sweep._ranges(b * unit - 5 * (b > 0), unit)
+                    for b in (0, 1, 3, 4, 6, 157)]
+            assert [len(c) - 1 for c in cuts] == [1, 1, 1, 2, 3, 3]
+            for c in cuts:
+                assert c[0] == 0 and c == sorted(c)
+                assert all(a % unit == 0 for a in c[:-1])
+        assert sweep._ranges(157 * _CSV_BLOCK, _CSV_BLOCK) == [
+            0, 52 * _CSV_BLOCK, 104 * _CSV_BLOCK, 157 * _CSV_BLOCK]
         monkeypatch.delattr(os, "memfd_create")
-        assert sweep._writer_count(157) == 1
+        assert sweep._ranges(157 * _CSV_BLOCK, _CSV_BLOCK) == [0, 157 * _CSV_BLOCK]
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_writer_leaves_no_process_or_file(self, tmp_path, monkeypatch,
@@ -439,7 +512,7 @@ class TestCsvOutput:
                 raise OSError(errno.ENOSPC, "No space left on device")
             write_rows(fh, coords, table)
 
-        monkeypatch.setattr(sweep, "_writer_count", lambda n_blocks: 3)
+        force_ranges(monkeypatch, 3)
         monkeypatch.setattr(sweep, "_write_rows", write_or_fail)
         path = tmp_path / "rows.csv"
         with pytest.raises(OSError, match=re.escape(f"sweep CSV to {path}")):
