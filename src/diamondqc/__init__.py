@@ -13,25 +13,19 @@ from .measures import (
     von_neumann_entropy,
     x_state_measures,
 )
-from .model import (
-    correlators,
-    thermal_entries_grid,
-    thermal_state,
-)
-from .params import CorrelationSet, DimerDensityMatrix, ModelParams, ThermalPoint
+from .model import thermal_entries_grid, thermal_state
+from .params import DimerDensityMatrix, ModelParams, ThermalPoint
 from .sweep import Axis, SweepSpec, count_peaks, emit_csv, figure_preset, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "CorrelationSet",
     "DimerDensityMatrix",
     "ModelParams",
     "SweepSpec",
     "ThermalPoint",
     "correlation_report",
-    "correlators",
     "count_peaks",
     "emit_csv",
     "figure_preset",

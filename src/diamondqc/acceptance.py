@@ -87,25 +87,42 @@ def check_density_validity() -> CheckResult:
 
 
 def check_finite_chain_agreement() -> CheckResult:
-    """Closed-form correlators against the finite-chain contraction oracle.
+    """Closed-form state entries against the finite-chain contraction oracle.
 
-    Sample points are accepted only where the chain's own transfer
-    spectrum certifies that a 14-cell ring has reached the infinite-chain
-    limit (ratio^13 <= 1e-8, a bound on the ring's truncation error).
-    The certificate uses the chain side alone; where the bridge-spin
-    sectors stay near-degenerate, a finite ring of any tractable size
-    measures a different ensemble and comparison is meaningless.
+    The six X-state entries of thermal_entries_grid must match the
+    14-cell ring's reduced state to 1e-6 each, and the ring's entries
+    off the X pattern must vanish (<= 1e-12). Sample points are accepted
+    only where the chain's own transfer spectrum certifies that the ring
+    has reached the infinite-chain limit (ratio^13 <= 1e-8, a bound on
+    the ring's truncation error). The certificate uses the chain side
+    alone; where the bridge-spin sectors stay near-degenerate, a finite
+    ring of any tractable size measures a different ensemble and
+    comparison is meaningless. At one fixed point (gamma=0.6, Jz=0.3,
+    J0=0.3, h=0.35, T=0.5) the entries must agree to 1e-8.
     """
-    from .oracle import (FiniteChainSpec, calibrate_conventions,
-                         finite_chain_correlators, transfer_spectrum_ratio)
-    from .model import correlators
+    from .oracle import (FiniteChainSpec, finite_chain_reduced_state,
+                         transfer_spectrum_ratio)
 
-    cal = calibrate_conventions()
-    ising, heisenberg = cal.selected
-    rng = np.random.default_rng(11)
     n_cells = 14
+    x_rows, x_cols = [0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 3, 2]
+    off_x = np.ones((4, 4), dtype=bool)
+    off_x[x_rows, x_cols] = off_x[x_cols, x_rows] = False
+
+    def deviations(spec):
+        """(max entry deviation, max off-X magnitude) at one point."""
+        p = spec.params
+        rho = finite_chain_reduced_state(spec)
+        closed = np.array(thermal_entries_grid(p.j0, spec.tp.t, p.h, p.gamma,
+                                               p.jz, p.j))
+        return (float(np.abs(rho[x_rows, x_cols] - closed).max()),
+                float(np.abs(rho[off_x]).max()))
+
+    fixed_dev, _ = deviations(FiniteChainSpec(
+        n_cells=n_cells, params=ModelParams(gamma=0.6, jz=0.3, j0=0.3, h=0.35),
+        tp=ThermalPoint(0.5)))
+    rng = np.random.default_rng(11)
     n_points = 200
-    worst = 0.0
+    worst = worst_off = 0.0
     accepted = 0
     attempted = 0
     while accepted < n_points and attempted < 50 * n_points:
@@ -115,24 +132,20 @@ def check_finite_chain_agreement() -> CheckResult:
                              j0=rng.uniform(-2.0, 2.0),
                              h=rng.uniform(-2.0, 2.0))
         tp = ThermalPoint(rng.uniform(0.2, 4.0))
-        spec = FiniteChainSpec(n_cells=n_cells, params=params, tp=tp,
-                               ising_magnitude=ising,
-                               heisenberg_convention=heisenberg)
+        spec = FiniteChainSpec(n_cells=n_cells, params=params, tp=tp)
         if transfer_spectrum_ratio(spec) ** (n_cells - 1) > 1e-8:
             continue
         accepted += 1
-        closed = correlators(params, tp)
-        chain = finite_chain_correlators(spec)
-        dev = max(abs(closed.xx - chain.xx), abs(closed.yy - chain.yy),
-                  abs(closed.zz - chain.zz), abs(closed.z - chain.z))
+        dev, off = deviations(spec)
         worst = max(worst, dev)
-    passed = (accepted == n_points and cal.selected_deviation <= 1e-8
-              and worst <= 1e-6)
-    detail = (f"convention {ising}/{heisenberg} (calibration dev "
-              f"{cal.selected_deviation:.1e}); max correlator deviation "
-              f"{worst:.2e} over {accepted} certified points at N={n_cells} "
-              f"(<= 1e-6; {attempted - accepted} draws rejected by the "
-              f"chain-side convergence certificate)")
+        worst_off = max(worst_off, off)
+    passed = (accepted == n_points and fixed_dev <= 1e-8 and worst <= 1e-6
+              and worst_off <= 1e-12)
+    detail = (f"max entry deviation {worst:.2e} over {accepted} certified "
+              f"points at N={n_cells} (<= 1e-6; {attempted - accepted} draws "
+              f"rejected by the chain-side convergence certificate), max "
+              f"off-X entry {worst_off:.1e} (<= 1e-12), fixed-point "
+              f"deviation {fixed_dev:.1e} (<= 1e-8)")
     return CheckResult("closed-form-vs-finite-chain", passed, detail)
 
 

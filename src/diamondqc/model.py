@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import (SECTOR_SPIN_SUMS, CorrelationSet, DimerDensityMatrix,
-                     ModelParams, ThermalPoint)
+from .params import SECTOR_SPIN_SUMS, DimerDensityMatrix, ModelParams, ThermalPoint
 
 
 def _sector_exponents(beta, j, gamma, jz, j0, h, x):
@@ -138,12 +137,3 @@ def thermal_state(params: ModelParams, tp: ThermalPoint) -> DimerDensityMatrix:
     """
     return DimerDensityMatrix(*(float(e) for e in thermal_entries_grid(
         params.j0, tp.t, params.h, params.gamma, params.jz, params.j)))
-
-
-def correlators(params: ModelParams, tp: ThermalPoint) -> CorrelationSet:
-    """Thermodynamic-limit dimer expectations (xx, yy, zz, z) of thermal_state."""
-    s = thermal_state(params, tp)
-    return CorrelationSet(xx=0.5 * (s.r23 + s.r14),
-                          yy=0.5 * (s.r23 - s.r14),
-                          zz=0.25 * (s.r11 + s.r44 - s.r22 - s.r33),
-                          z=0.5 * (s.r11 - s.r44))

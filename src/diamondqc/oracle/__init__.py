@@ -1,7 +1,7 @@
 """Independent brute-force ground truth.
 
 finite_chain: exact thermodynamics of small periodic chains, converging
-to the closed-form thermodynamic limit; also the convention calibrator.
+to the closed-form thermodynamic limit.
 discord_search: measurement-grid minimization for quantum discord.
 cq_search: classical-quantum-set minimization for trace-distance discord.
 
@@ -9,15 +9,13 @@ Each search module holds its own NumPy kernel (cond_entropy_grid,
 trace_norm_diff_batch); the closed-form fast path imports nothing from
 this package.
 """
-from .finite_chain import (FiniteChainSpec, calibrate_conventions,
-                           enumerate_reduced_state, finite_chain_correlators,
+from .finite_chain import (FiniteChainSpec, enumerate_reduced_state,
                            finite_chain_reduced_state, transfer_spectrum_ratio)
 from .discord_search import qd_bruteforce
 from .cq_search import CQStateParam, cq_state, tdd_bruteforce, trace_norm
 
 __all__ = [
-    "FiniteChainSpec", "finite_chain_correlators", "finite_chain_reduced_state",
-    "enumerate_reduced_state", "calibrate_conventions",
+    "FiniteChainSpec", "finite_chain_reduced_state", "enumerate_reduced_state",
     "transfer_spectrum_ratio", "qd_bruteforce", "CQStateParam", "cq_state",
     "tdd_bruteforce", "trace_norm",
 ]

@@ -1,8 +1,8 @@
 """Domain types for the diamond-chain model and its thermal dimer state.
 
-Conventions fixed by the oracle calibration (see oracle.finite_chain):
-the quantum dimer carries spin-1/2 operators (Pauli matrices divided by
-two) and the classical bridge spins take the values +1 and -1. All
+The quantum dimer carries spin-1/2 operators (Pauli matrices divided by
+two) and the classical bridge spins take the values +1 and -1; the
+Hamiltonian is written out in oracle.finite_chain._cell_hamiltonian. All
 energies are expressed in units of the XY exchange J, temperatures as
 T/J with k_B = 1.
 """
@@ -50,27 +50,6 @@ class ThermalPoint:
     @property
     def beta(self) -> float:
         return 1.0 / self.t
-
-
-@dataclass(frozen=True)
-class CorrelationSet:
-    """Thermodynamic-limit dimer expectations in spin-1/2 normalization.
-
-    xx = <s_a^x s_b^x>, yy = <s_a^y s_b^y>, zz = <s_a^z s_b^z>,
-    z = <s_a^z> = <s_b^z>. Bounds: |xx|, |yy|, |zz| <= 1/4, |z| <= 1/2.
-    """
-    xx: float
-    yy: float
-    zz: float
-    z: float
-
-    _SLACK = 1e-9
-
-    def __post_init__(self):
-        for name, bound in (("xx", 0.25), ("yy", 0.25), ("zz", 0.25), ("z", 0.5)):
-            v = getattr(self, name)
-            if not np.isfinite(v) or abs(v) > bound + self._SLACK:
-                raise ValueError(f"correlator {name}={v} outside [-{bound}, {bound}]")
 
 
 @dataclass(frozen=True)

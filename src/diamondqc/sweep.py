@@ -114,7 +114,6 @@ class SweepSpec:
     """Full description of one sweep: fixed parameters plus one or two axes."""
     fixed: dict
     axes: tuple
-    measures: tuple = MEASURE_NAMES
     oracle_check: int = None
 
     def validate(self) -> "SweepSpec":
@@ -135,11 +134,6 @@ class SweepSpec:
         for name in PARAM_NAMES:
             if name not in self.fixed and name not in axis_names:
                 raise SweepConfigError(f"parameter {name!r} is neither fixed nor an axis")
-        if not self.measures:
-            raise SweepConfigError("measures must not be empty")
-        for m in self.measures:
-            if m not in MEASURE_NAMES:
-                raise SweepConfigError(f"unknown measure: {m!r}")
         if self.oracle_check is not None and int(self.oracle_check) < 1:
             raise SweepConfigError(f"oracle_check must be >= 1, got {self.oracle_check}")
         t_grid = self.parameter_grid("T_over_J")
@@ -222,7 +216,7 @@ def _build_header(spec: SweepSpec, seed: int, n_rows: int,
     if label:
         header["preset"] = label
     header["seed"] = str(int(seed))
-    header["measures"] = ",".join(spec.measures)
+    header["measures"] = ",".join(MEASURE_NAMES)
     for i, ax in enumerate(spec.axes, start=1):
         header[f"axis{i}"] = ax.describe()
     for name in PARAM_NAMES:
@@ -481,7 +475,6 @@ def with_oracle_check(spec: SweepSpec, every: int) -> SweepSpec:
     return replace(spec, oracle_check=int(every))
 
 
-_SWEEP_KEYS = ("measures", "oracle_every")
 _AXIS_KEYS = ("name", "start", "stop", "n_points", "spacing", "values")
 
 
@@ -543,20 +536,16 @@ def read_sweep_config(path) -> SweepSpec:
             except ValueError as exc:
                 raise SweepConfigError(f"fixed {key}: {exc}") from exc
 
-    measures = MEASURE_NAMES
     oracle_check = None
     if parser.has_section("sweep"):
-        for key, raw in parser.items("sweep"):
-            if key not in _SWEEP_KEYS:
+        for key in parser.options("sweep"):
+            if key != "oracle_every":
                 raise SweepConfigError(f"unknown key {key!r} in [sweep]")
-        if parser.has_option("sweep", "measures"):
-            raw = parser.get("sweep", "measures")
-            measures = tuple(m.strip() for m in raw.replace(",", " ").split())
         if parser.has_option("sweep", "oracle_every"):
             try:
                 oracle_check = int(parser.get("sweep", "oracle_every"))
             except ValueError as exc:
                 raise SweepConfigError(f"oracle_every: {exc}") from exc
 
-    return SweepSpec(fixed=fixed, axes=tuple(axes), measures=measures,
+    return SweepSpec(fixed=fixed, axes=tuple(axes),
                      oracle_check=oracle_check).validate()

@@ -33,8 +33,9 @@ def test_density_matrix_validity():
 
 
 def test_finite_chain_agreement():
-    # Criterion 2: closed form matches a 14-cell ring within 1e-6 on 200
-    # certified points, and the convention calibration is documented.
+    # Criterion 2: every closed-form state entry matches a 14-cell ring
+    # within 1e-6 on 200 certified points (1e-8 at one fixed point), and the
+    # ring's entries off the X pattern vanish.
     report(acceptance.check_finite_chain_agreement())
 
 

@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from diamondqc.model import correlators, thermal_entries_grid, thermal_state
-from diamondqc.params import (CorrelationSet, DimerDensityMatrix, ModelParams,
-                              ThermalPoint)
+from diamondqc.model import thermal_entries_grid, thermal_state
+from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
 
 CAL_PARAMS = ModelParams(gamma=0.6, jz=0.3, j0=0.3, h=0.35)
 CAL_TP = ThermalPoint(0.5)
 
-# Values frozen from the independent finite-chain oracle run at the
-# calibration point (14-cell ring agrees with these to 5.6e-17).
-CAL_CORRELATORS = (0.10696959275826, -0.00702953077884672,
-                   0.11877517218604, 0.322722617078782)
+# Entries (r11, r22, r33, r44, r14, r23) frozen from the independent
+# finite-chain oracle at the calibration point: its spin-1/2 correlators
+# (xx, yy, zz, z) = (0.10696959275826, -0.00702953077884672,
+# 0.11877517218604, 0.322722617078782), which a 14-cell ring matched to
+# 5.6e-17, mapped through r11 = 1/4+zz+z, r22 = r33 = 1/4-zz,
+# r44 = 1/4+zz-z, r14 = xx-yy, r23 = xx+yy.
+CAL_ENTRIES = (0.691497789264822, 0.13122482781396, 0.13122482781396,
+               0.046052555107257975, 0.11399912353710671, 0.09994006197941328)
 
 params_box = st.builds(
     ModelParams,
@@ -40,22 +43,12 @@ class TestParams:
             ThermalPoint(-1.0)
         assert ThermalPoint(2.0).beta == 0.5
 
-    def test_correlator_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            CorrelationSet(xx=0.3, yy=0.0, zz=0.0, z=0.0)
-        with pytest.raises(ValueError):
-            CorrelationSet(xx=0.0, yy=0.0, zz=0.0, z=0.6)
-
 
 class TestCorrelators:
     def test_calibration_point_frozen_values(self):
-        c = correlators(CAL_PARAMS, CAL_TP)
-        assert_allclose((c.xx, c.yy, c.zz, c.z), CAL_CORRELATORS,
-                        rtol=0.0, atol=1e-13)
-
-    def test_infinite_temperature_limit(self):
-        c = correlators(CAL_PARAMS, ThermalPoint(1e9))
-        assert_allclose((c.xx, c.yy, c.zz, c.z), 0.0, atol=1e-8)
+        s = thermal_state(CAL_PARAMS, CAL_TP)
+        assert_allclose((s.r11, s.r22, s.r33, s.r44, s.r14, s.r23),
+                        CAL_ENTRIES, rtol=0.0, atol=1e-13)
 
 
 class TestThermalState:

@@ -4,11 +4,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from diamondqc.measures import correlation_report, x_state_measures
-from diamondqc.model import correlators, thermal_entries_grid, thermal_state
-from diamondqc.oracle import (CQStateParam, FiniteChainSpec,
-                              calibrate_conventions, cq_state,
+from diamondqc.model import thermal_entries_grid, thermal_state
+from diamondqc.oracle import (CQStateParam, FiniteChainSpec, cq_state,
                               enumerate_reduced_state,
-                              finite_chain_correlators,
                               finite_chain_reduced_state, qd_bruteforce,
                               tdd_bruteforce, trace_norm,
                               transfer_spectrum_ratio)
@@ -44,12 +42,13 @@ class TestFiniteChain:
             enumerate_reduced_state(cal_spec(13))
 
     def test_convergence_to_closed_form_is_monotone(self):
-        closed = correlators(CAL_PARAMS, CAL_TP)
-        closed_vec = np.array([closed.xx, closed.yy, closed.zz, closed.z])
+        closed = thermal_state(CAL_PARAMS, CAL_TP)
+        closed_vec = np.array([closed.r11, closed.r22, closed.r33, closed.r44,
+                               closed.r14, closed.r23])
         devs = []
         for n in range(4, 15, 2):
-            got = finite_chain_correlators(cal_spec(n))
-            got_vec = np.array([got.xx, got.yy, got.zz, got.z])
+            rho = finite_chain_reduced_state(cal_spec(n))
+            got_vec = rho[[0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 3, 2]]
             devs.append(np.abs(closed_vec - got_vec).max())
         # Each doubling of the ring tightens the agreement until roundoff.
         for a, b in zip(devs, devs[1:]):
@@ -68,12 +67,6 @@ class TestFiniteChain:
             cal_spec(1)
         with pytest.raises(ValueError, match="n_cells"):
             cal_spec(21)
-        with pytest.raises(ValueError, match="ising_magnitude"):
-            FiniteChainSpec(n_cells=4, params=CAL_PARAMS, tp=CAL_TP,
-                            ising_magnitude="two")
-        with pytest.raises(ValueError, match="heisenberg_convention"):
-            FiniteChainSpec(n_cells=4, params=CAL_PARAMS, tp=CAL_TP,
-                            heisenberg_convention="dirac")
 
     def test_transfer_spectrum_ratio(self):
         r = transfer_spectrum_ratio(cal_spec(14))
@@ -81,14 +74,6 @@ class TestFiniteChain:
         # At the calibration point the subleading weight dies fast enough
         # that a 14-cell ring is converged far beyond the test tolerances.
         assert r ** 13 <= 1e-8
-
-    def test_calibration_selects_default_conventions(self):
-        cal = calibrate_conventions()
-        assert cal.selected == ("one", "spin_half")
-        assert cal.selected_deviation <= 1e-8
-        assert len(cal.deviations) == 4
-        others = [v for k, v in cal.deviations.items() if k != cal.selected]
-        assert min(others) > 100.0 * cal.selected_deviation
 
 
 def random_hermitian_stack(rng, n):

@@ -1,14 +1,39 @@
 """Tests for the package's public surface."""
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
 import diamondqc
+import diamondqc.oracle
 
 
 def test_every_export_resolves():
-    missing = [name for name in diamondqc.__all__ if not hasattr(diamondqc, name)]
+    missing = [f"{mod.__name__}.{name}" for mod in (diamondqc, diamondqc.oracle)
+               for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+def test_oracles_import_nothing_from_the_fast_path():
+    # The oracles check the closed forms, so they must not borrow them.
+    fast = ("diamondqc.model", "diamondqc.measures", "diamondqc.sweep")
+    package = ["diamondqc", "oracle"]
+    found = []
+    for path in sorted(pathlib.Path(diamondqc.oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # `from .. import model` names the module only in its alias.
+                base = package[:len(package) + 1 - node.level] if node.level else []
+                base = ".".join(base + ([node.module] if node.module else []))
+                targets = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {t}" for t in targets
+                      if any(t == f or t.startswith(f + ".") for f in fast)]
+    assert not found
 
 
 def test_nothing_imports_scipy(tmp_path):

@@ -153,15 +153,6 @@ class TestSweepSpecValidation:
                              "Jz_over_J": 0.0, "h_over_J": 0.0},
                       axes=(Axis("T_over_J", 0.1, 1.0, 3),)).validate()
 
-    def test_measures_checked(self):
-        base = small_spec()
-        with pytest.raises(SweepConfigError, match="empty"):
-            SweepSpec(fixed=base.fixed, axes=base.axes,
-                      measures=()).validate()
-        with pytest.raises(SweepConfigError, match="unknown measure"):
-            SweepSpec(fixed=base.fixed, axes=base.axes,
-                      measures=("qd", "fidelity")).validate()
-
     def test_oracle_check_bounds(self):
         base = small_spec()
         with pytest.raises(SweepConfigError, match="oracle_check"):
@@ -665,7 +656,6 @@ class TestCountPeaks:
 class TestConfigFiles:
     GOOD = """\
 [sweep]
-measures = qd, tdd
 oracle_every = 3
 
 [fixed]
@@ -693,7 +683,6 @@ values = 0.2 0.5 0.7
         spec = read_sweep_config(self.write(tmp_path, self.GOOD))
         assert spec.fixed == {"gamma": 0.5, "J0_over_J": -0.3,
                               "Jz_over_J": 0.3}
-        assert spec.measures == ("qd", "tdd")
         assert spec.oracle_check == 3
         assert spec.axes[0].describe() == "h_over_J linear -2 2 5"
         assert spec.axes[1].values == (0.2, 0.5, 0.7)
@@ -739,9 +728,15 @@ values = 0.2 0.5 0.7
         with pytest.raises(SweepConfigError, match="gamma"):
             read_sweep_config(self.write(tmp_path, text))
 
-    def test_unknown_sweep_key(self, tmp_path):
-        text = self.GOOD.replace("oracle_every = 3", "threads = 4")
-        with pytest.raises(SweepConfigError, match="'threads'"):
+    # Every CSV carries all five measures, so a `measures` selection is
+    # refused rather than silently ignored.
+    @pytest.mark.parametrize("line, key", [("threads = 4", "threads"),
+                                           ("measures = qd, tdd", "measures")],
+                             ids=["threads", "measures"])
+    def test_unknown_sweep_key(self, tmp_path, line, key):
+        text = self.GOOD.replace("oracle_every = 3", line)
+        with pytest.raises(SweepConfigError,
+                           match=rf"unknown key '{key}' in \[sweep\]"):
             read_sweep_config(self.write(tmp_path, text))
 
     def test_validation_still_applies(self, tmp_path):
