@@ -8,11 +8,7 @@ matrix expressions drive the fast path; independent brute-force
 oracles (finite-chain contraction, measurement-grid discord search,
 classical-quantum pattern search) validate them.
 """
-from .measures import (
-    correlation_report,
-    von_neumann_entropy,
-    x_state_measures,
-)
+from .measures import correlation_report, x_state_measures
 from .model import thermal_entries_grid, thermal_state
 from .params import DimerDensityMatrix, ModelParams, ThermalPoint
 from .sweep import Axis, SweepSpec, count_peaks, emit_csv, figure_preset, run_sweep
@@ -32,7 +28,6 @@ __all__ = [
     "run_sweep",
     "thermal_entries_grid",
     "thermal_state",
-    "von_neumann_entropy",
     "x_state_measures",
     "__version__",
 ]

@@ -21,7 +21,6 @@ import filecmp
 import io
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ def format_result(result: CheckResult) -> str:
 
 def check_density_validity() -> CheckResult:
     """Trace and positivity of the assembled state over a wide 5-d box."""
-    t0 = time.perf_counter()
     grids = np.meshgrid(
         np.linspace(-2.0, 2.0, 10),     # J0/J
         np.linspace(0.05, 20.0, 10),    # T/J
@@ -78,11 +76,10 @@ def check_density_validity() -> CheckResult:
     r11, r22, r33, r44, r14, r23 = thermal_entries_grid(j0, t, h, gamma, jz)
     trace_dev = float(np.max(np.abs(r11 + r22 + r33 + r44 - 1.0)))
     eig_min = float(np.min(x_state_measures(r11, r22, r33, r44, r14, r23)["eig_min"]))
-    elapsed = time.perf_counter() - t0
 
     passed = trace_dev <= 1e-12 and eig_min >= -1e-10
     detail = (f"{j0.size} states: max |trace - 1| = {trace_dev:.2e} (<= 1e-12), "
-              f"min eigenvalue = {eig_min:.2e} (>= -1e-10), {elapsed:.1f}s")
+              f"min eigenvalue = {eig_min:.2e} (>= -1e-10)")
     return CheckResult("density-matrix-validity", passed, detail)
 
 
@@ -112,8 +109,7 @@ def check_finite_chain_agreement() -> CheckResult:
         """(max entry deviation, max off-X magnitude) at one point."""
         p = spec.params
         rho = finite_chain_reduced_state(spec)
-        closed = np.array(thermal_entries_grid(p.j0, spec.tp.t, p.h, p.gamma,
-                                               p.jz, p.j))
+        closed = np.array(thermal_entries_grid(p.j0, spec.tp.t, p.h, p.gamma, p.jz))
         return (float(np.abs(rho[x_rows, x_cols] - closed).max()),
                 float(np.abs(rho[off_x]).max()))
 
@@ -374,11 +370,4 @@ def run_suite(suite: str) -> list:
     for fn in _SUITE_CHECKS[suite]:
         out = fn()
         results.extend(out if isinstance(out, list) else [out])
-    return results
-
-
-def run_all() -> list:
-    results = []
-    for suite in SUITES:
-        results.extend(run_suite(suite))
     return results

@@ -10,7 +10,8 @@ correlation-matrix magnitudes |g_i| coincide and the value is |g1|.
 
 `x_state_measures` evaluates everything over broadcastable arrays of the
 six X-state entries; `correlation_report` is the same evaluation for one
-state.
+state. The joint entropy and the PSD margin come from
+params.x_block_eigenvalues, the spectrum DimerDensityMatrix also uses.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DimerDensityMatrix
+from .params import DimerDensityMatrix, x_block_eigenvalues
 
 
 def _xlog2x(x):
@@ -60,31 +61,6 @@ class CorrelationReport:
     tdd_branch: TddBranch
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of a Hermitian PSD unit-trace matrix (dim <= 4).
-
-    Accepts a DimerDensityMatrix (exact block eigenvalues) or an ndarray.
-    Eigenvalues in [-1e-8, 0) are treated as rounding noise and clipped;
-    anything more negative, or a trace off 1 by more than 1e-6, raises.
-    """
-    if isinstance(rho, DimerDensityMatrix):
-        vals = rho.eigenvalues()
-    else:
-        m = np.asarray(rho)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] > 4:
-            raise ValueError(f"expected a square matrix of dim <= 4, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("matrix is not Hermitian")
-        vals = np.linalg.eigvalsh(m)
-    if vals.min() < -1e-8:
-        raise ValueError(f"matrix has eigenvalue {vals.min():.3e} < -1e-8")
-    tr = float(vals.sum())
-    if abs(tr - 1.0) > 1e-6:
-        raise ValueError(f"trace {tr} deviates from 1 by more than 1e-6")
-    vals = np.clip(vals, 0.0, 1.0)
-    return float(-_xlog2x(vals).sum())
-
-
 def x_state_measures(r11, r22, r33, r44, r14, r23):
     """Every measure over broadcastable arrays of X-state entries.
 
@@ -98,11 +74,7 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
     r11, r22, r33, r44, r14, r23 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (r11, r22, r33, r44, r14, r23)))
 
-    eo = 0.5 * (r11 + r44)
-    do = np.hypot(0.5 * (r11 - r44), r14)
-    ei = 0.5 * (r22 + r33)
-    di = np.hypot(0.5 * (r22 - r33), r23)
-    eigs = np.stack([eo - do, eo + do, ei - di, ei + di])
+    eigs = x_block_eigenvalues(r11, r22, r33, r44, r14, r23)
     eig_min = eigs.min(axis=0)
     psd_flag = eig_min >= DimerDensityMatrix.PSD_TOL
     entropy_ab = -_xlog2x(np.clip(eigs, 0.0, 1.0)).sum(axis=0)

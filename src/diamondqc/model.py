@@ -11,9 +11,11 @@ weighted by the dominant transfer eigenvector:
 
 with (v1, v2) the normalized dominant eigenvector and lambda the
 dominant eigenvalue. The identity v^T W v = lambda makes the trace
-exactly 1. All exponentials are evaluated with the global maximum
-exponent factored out, so temperatures down to T/J = 0.01 and large
-couplings stay inside the floating-point range.
+exactly 1. Each sector's exponents are computed once, in one pass over
+the sectors, and their maximum is factored out of every exponential, so
+temperatures down to T/J = 0.01 and large couplings stay inside the
+floating-point range. All couplings and temperatures are in units of J,
+which therefore never appears as a parameter.
 
 Every operation broadcasts over NumPy arrays; scalars in, scalars out.
 """
@@ -24,46 +26,35 @@ import numpy as np
 from .params import SECTOR_SPIN_SUMS, DimerDensityMatrix, ModelParams, ThermalPoint
 
 
-def _sector_exponents(beta, j, gamma, jz, j0, h, x):
-    """Outer/inner exponent pieces and the gap for one bridge sector."""
-    g = j0 * x + h
-    d = np.hypot(g, 0.5 * j * gamma)
-    po = beta * (0.25 * jz + 0.5 * h * x)
-    pi = beta * (0.5 * h * x - 0.25 * jz)
-    return g, d, po, pi
-
-
-def _global_shift(beta, j, gamma, jz, j0, h):
-    """Largest log-scale over all sectors; factored out of every exp."""
-    shift = None
-    au = 0.5 * beta * np.abs(j)
-    for x in SECTOR_SPIN_SUMS:
-        _, d, po, pi = _sector_exponents(beta, j, gamma, jz, j0, h, x)
-        local = np.maximum(po + beta * d, pi + au)
-        shift = local if shift is None else np.maximum(shift, local)
-    return shift
-
-
-def _scaled_blocks(beta, j, gamma, jz, j0, h):
+def _scaled_blocks(beta, gamma, jz, j0, h):
     """Per-sector Boltzmann block entries scaled by e^{-shift}.
 
     Returns entries with entries[x] = (b11, b22, b44, b14, b23); b33 = b22
-    by exchange symmetry of the dimer. Every exponential argument is
-    <= 0, so nothing overflows at any beta.
+    by exchange symmetry of the dimer. The exponent pieces of every
+    sector are computed once; the shift is their largest sum, so every
+    exponential argument is <= 0 and nothing overflows at any beta.
     """
-    shift = _global_shift(beta, j, gamma, jz, j0, h)
-    ui = 0.5 * beta * j
-    entries = {}
+    ui = 0.5 * beta
+    pieces = {}
+    shift = None
     for x in SECTOR_SPIN_SUMS:
-        g, d, po, pi = _sector_exponents(beta, j, gamma, jz, j0, h, x)
+        g = j0 * x + h
+        d = np.hypot(g, 0.5 * gamma)
         to = beta * d
+        po = beta * (0.25 * jz + 0.5 * h * x)
+        pi = beta * (0.5 * h * x - 0.25 * jz)
+        pieces[x] = (g, d, po, to, pi)
+        local = np.maximum(po + to, pi + ui)
+        shift = local if shift is None else np.maximum(shift, local)
+    entries = {}
+    for x, (g, d, po, to, pi) in pieces.items():
         ep = np.exp(po + to - shift)
         em = np.exp(po - to - shift)
         safe = np.where(d > 0.0, d, 1.0)
         ratio = np.where(d > 0.0, g / safe, 0.0)
         b11 = 0.5 * (ep * (1.0 + ratio) + em * (1.0 - ratio))
         b44 = 0.5 * (ep * (1.0 - ratio) + em * (1.0 + ratio))
-        coef = np.where(d > 0.0, 0.5 * j * gamma / safe, 0.0)
+        coef = np.where(d > 0.0, 0.5 * gamma / safe, 0.0)
         b14 = coef * 0.5 * (ep - em)
         eip = np.exp(pi + ui - shift)
         eim = np.exp(pi - ui - shift)
@@ -81,15 +72,14 @@ def _transfer(entries):
     w(0) underflows against the aligned sectors, the eigenvector is the
     heavier aligned sector, or their symmetric mix on a tie (h = 0).
     """
-    wp = entries[2.0][0] + 2.0 * entries[2.0][1] + entries[2.0][2]
-    w0 = entries[0.0][0] + 2.0 * entries[0.0][1] + entries[0.0][2]
-    wm = entries[-2.0][0] + 2.0 * entries[-2.0][1] + entries[-2.0][2]
-    # At h = 0 the swap b11 <-> b44 maps x = +2 onto x = -2, so wp = wm, but
-    # the sums above may round an ulp apart, and such an ulp outweighs any
-    # smaller w0 in the eigenvector; (b11 + b44) + 2 b22 is exact under it.
-    tie = ((entries[2.0][0] + entries[2.0][2]) + 2.0 * entries[2.0][1]
-           == (entries[-2.0][0] + entries[-2.0][2]) + 2.0 * entries[-2.0][1])
-    diff = np.where(tie, 0.0, wp - wm)
+    # h -> -h swaps b11 <-> b44 and maps x = +2 onto x = -2, bit for bit.
+    # Summing as (b11 + b44) + 2 b22 keeps that map exact, so wp(h) and
+    # wm(-h) carry the same bits and tie exactly at h = 0. Any other order
+    # can round them an ulp apart, and at low T such an ulp outweighs the
+    # small w0 in the eigenvector.
+    wp, w0, wm = ((entries[x][0] + entries[x][2]) + 2.0 * entries[x][1]
+                  for x in SECTOR_SPIN_SUMS)
+    diff = wp - wm
     rad = np.hypot(diff, 2.0 * w0)
     lam = 0.5 * (wp + wm + rad)
     denom = rad + np.abs(diff)
@@ -104,21 +94,21 @@ def _transfer(entries):
     return lam, v1, v2
 
 
-def thermal_entries_grid(j0, t, h, gamma, jz, j=1.0):
+def thermal_entries_grid(j0, t, h, gamma, jz):
     """Vectorized thermal-state entries over broadcastable parameter arrays.
 
     Returns (r11, r22, r33, r44, r14, r23) as arrays of the broadcast
     shape. Raises ValueError on a non-positive or non-finite temperature
     and on non-finite couplings, as ThermalPoint and ModelParams do.
     """
-    arrs = [np.asarray(v, dtype=float) for v in (j0, t, h, gamma, jz, j)]
+    arrs = [np.asarray(v, dtype=float) for v in (j0, t, h, gamma, jz)]
     if np.any(arrs[1] <= 0.0) or not np.all(np.isfinite(arrs[1])):
         raise ValueError("temperature grid must be finite and positive")
-    for name, a in zip(("j0", "h", "gamma", "jz", "j"), arrs[:1] + arrs[2:]):
+    for name, a in zip(("j0", "h", "gamma", "jz"), arrs[:1] + arrs[2:]):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"non-finite coupling {name} in grid")
-    j0a, ta, ha, ga, jza, ja = np.broadcast_arrays(*arrs)
-    blocks = _scaled_blocks(1.0 / ta, ja, ga, jza, j0a, ha)
+    j0a, ta, ha, ga, jza = np.broadcast_arrays(*arrs)
+    blocks = _scaled_blocks(1.0 / ta, ga, jza, j0a, ha)
     lam, v1, v2 = _transfer(blocks)
     qp = v1 * v1
     q0 = v1 * v2
@@ -136,4 +126,4 @@ def thermal_state(params: ModelParams, tp: ThermalPoint) -> DimerDensityMatrix:
     same bits as the sweep row at the same coordinates.
     """
     return DimerDensityMatrix(*(float(e) for e in thermal_entries_grid(
-        params.j0, tp.t, params.h, params.gamma, params.jz, params.j)))
+        params.j0, tp.t, params.h, params.gamma, params.jz)))

@@ -6,16 +6,17 @@ discord_search: measurement-grid minimization for quantum discord.
 cq_search: classical-quantum-set minimization for trace-distance discord.
 
 Each search module holds its own NumPy kernel (cond_entropy_grid,
-trace_norm_diff_batch); the closed-form fast path imports nothing from
-this package.
+trace_norm_diff_batch); discord_search takes its input validation
+(_density_matrix) and its measurement projector pairs (_projectors)
+from cq_search. The oracles import nothing from the closed-form fast
+path, and the fast path imports nothing from this package.
 """
 from .finite_chain import (FiniteChainSpec, enumerate_reduced_state,
                            finite_chain_reduced_state, transfer_spectrum_ratio)
 from .discord_search import qd_bruteforce
-from .cq_search import CQStateParam, cq_state, tdd_bruteforce, trace_norm
+from .cq_search import tdd_bruteforce, trace_norm
 
 __all__ = [
     "FiniteChainSpec", "finite_chain_reduced_state", "enumerate_reduced_state",
-    "transfer_spectrum_ratio", "qd_bruteforce", "CQStateParam", "cq_state",
-    "tdd_bruteforce", "trace_norm",
+    "transfer_spectrum_ratio", "qd_bruteforce", "tdd_bruteforce", "trace_norm",
 ]

@@ -19,7 +19,6 @@ trajectory and result are those of a search over that state alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +34,6 @@ _MAX_ITER = 400
 _DISAGREE_WARN = 1e-3
 
 
-@dataclass(frozen=True)
-class CQStateParam:
-    """Parameters of one classical-quantum candidate state."""
-    theta: float
-    phi: float
-    p: float
-    bloch0: tuple
-    bloch1: tuple
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.theta, self.phi, self.p, *self.bloch0, *self.bloch1])
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "CQStateParam":
-        x = _project(np.asarray(x, dtype=float))
-        return cls(theta=float(x[0]), phi=float(x[1]), p=float(x[2]),
-                   bloch0=tuple(x[3:6]), bloch1=tuple(x[6:9]))
-
-
 def _project_batch(x: np.ndarray) -> np.ndarray:
     """Snap a (k, 9) batch of raw search vectors into the feasible set:
     weights clipped to [0, 1], Bloch vectors rescaled onto the unit ball."""
@@ -64,16 +44,6 @@ def _project_batch(x: np.ndarray) -> np.ndarray:
         scale = np.where(r > 1.0, r, 1.0)
         x[:, sl] /= scale[:, None]
     return x
-
-
-def _project(x: np.ndarray) -> np.ndarray:
-    """Snap one raw search vector of length 9 into the feasible set."""
-    return _project_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-
-def cq_state(param: CQStateParam) -> np.ndarray:
-    """The 4x4 density matrix of a classical-quantum candidate."""
-    return _chi_batch(param.vector()[None, :])[0]
 
 
 def _projectors(thetas: np.ndarray, phis: np.ndarray):
@@ -91,7 +61,8 @@ def _projectors(thetas: np.ndarray, phis: np.ndarray):
 
 
 def _chi_batch(vectors: np.ndarray) -> np.ndarray:
-    """Vectorized cq_state over a (k, 9) batch of feasible parameter vectors."""
+    """The 4x4 classical-quantum states of a (k, 9) batch of feasible
+    parameter vectors (theta, phi, p, bloch0, bloch1): shape (k, 4, 4)."""
     v = np.asarray(vectors, dtype=float)
     k = v.shape[0]
     pi0, pi1 = _projectors(v[:, 0], v[:, 1])
@@ -246,7 +217,7 @@ def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
 
 def _density_matrix(rho) -> np.ndarray:
     """One validated 4x4 complex density matrix from a DimerDensityMatrix
-    or an array-like."""
+    or an array-like; the input check of both search oracles."""
     if isinstance(rho, DimerDensityMatrix):
         return rho.validate().matrix().astype(complex)
     m = np.asarray(rho, dtype=complex)

@@ -2,6 +2,7 @@
 
 The measured subsystem is the second qubit; the measurement basis is a
 rank-1 projector pair along the Bloch direction (theta, phi). The
+projector pair and the input validation are those of cq_search. The
 post-measurement conditional entropy is scanned on an inclusive
 (theta, phi) grid and then refined by repeatedly re-gridding a shrinking
 box around the incumbent (golden-section shrink factor). Everything is
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..params import DimerDensityMatrix
+from .cq_search import _density_matrix, _projectors
 
 _SHRINK = 0.382  # golden-section complement
 _REFINE_POINTS = 9
@@ -24,20 +25,6 @@ def _entropy_bits(vals: np.ndarray) -> float:
     return float(-(vals * np.log2(vals)).sum())
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DimerDensityMatrix):
-        return rho.validate().matrix().astype(complex)
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError("matrix is not Hermitian")
-    vals = np.linalg.eigvalsh(m)
-    if vals.min() < -1e-8 or abs(vals.sum() - 1.0) > 1e-6:
-        raise ValueError("input is not a density matrix")
-    return m
-
-
 def cond_entropy_grid(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Post-measurement conditional entropy over a grid of Bloch angles.
 
@@ -47,22 +34,11 @@ def cond_entropy_grid(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> 
     (any Hermitian, not only X form).
     """
     rho = np.asarray(rho, dtype=complex)
-    t = np.asarray(thetas, dtype=float)[:, None]
-    p = np.asarray(phis, dtype=float)[None, :]
-    c = np.cos(0.5 * t) * np.ones_like(p)
-    s = np.sin(0.5 * t) * np.ones_like(p)
-    e = np.exp(1j * p) * np.ones_like(t)
-
-    # projector |v><v| with v = (cos(t/2), e^{i phi} sin(t/2))
-    proj = np.empty(c.shape + (2, 2), dtype=complex)
-    proj[..., 0, 0] = c * c
-    proj[..., 0, 1] = c * s * np.conj(e)
-    proj[..., 1, 0] = c * s * e
-    proj[..., 1, 1] = s * s
-
+    t, p = np.broadcast_arrays(np.asarray(thetas, dtype=float)[:, None],
+                               np.asarray(phis, dtype=float)[None, :])
     rho4 = rho.reshape(2, 2, 2, 2)
-    out = np.zeros(c.shape)
-    for pi in (proj, np.eye(2) - proj):
+    out = np.zeros(t.shape)
+    for pi in _projectors(t, p):
         # N[a,a'] = sum_{b,b'} rho[a,b,a',b'] Pi[b',b]
         n = np.einsum("abcd,...db->...ac", rho4, pi)
         pk = np.real(n[..., 0, 0] + n[..., 1, 1])
@@ -90,7 +66,7 @@ def qd_bruteforce(rho, n_grid: int = 24, n_refine: int = 6) -> float:
         raise ValueError(f"n_grid must be >= 16, got {n_grid}")
     if n_refine < 0:
         raise ValueError(f"n_refine must be >= 0, got {n_refine}")
-    m = _as_matrix(rho)
+    m = _density_matrix(rho)
 
     rho4 = m.reshape(2, 2, 2, 2)
     rho_a = np.trace(rho4, axis1=1, axis2=3)

@@ -60,7 +60,7 @@ def _cell_hamiltonian(p: ModelParams, x: float) -> np.ndarray:
     sysy = -np.kron(ay, ay)  # (i ay) x (i ay) = -ay x ay, real
     szsz = np.kron(sz, sz)
     sz_sum = np.kron(sz, i2) + np.kron(i2, sz)
-    return -(p.j * (1.0 + p.gamma) * sxsx + p.j * (1.0 - p.gamma) * sysy
+    return -((1.0 + p.gamma) * sxsx + (1.0 - p.gamma) * sysy
              + p.jz * szsz + (p.j0 * x + p.h) * sz_sum
              + 0.5 * p.h * x * np.eye(4))
 

@@ -4,16 +4,34 @@ The quantum dimer carries spin-1/2 operators (Pauli matrices divided by
 two) and the classical bridge spins take the values +1 and -1; the
 Hamiltonian is written out in oracle.finite_chain._cell_hamiltonian. All
 energies are expressed in units of the XY exchange J, temperatures as
-T/J with k_B = 1.
+T/J with k_B = 1, so J is not a parameter.
+
+x_block_eigenvalues is the one closed form of the X-state spectrum: both
+DimerDensityMatrix and measures.x_state_measures evaluate it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # Summed neighboring bridge-spin values for the three distinct sectors.
 SECTOR_SPIN_SUMS = (2.0, 0.0, -2.0)
+
+
+def x_block_eigenvalues(r11, r22, r33, r44, r14, r23):
+    """The four eigenvalues of X states, stacked on a new leading axis.
+
+    The X form splits into the outer block (r11, r44; r14) and the inner
+    block (r22, r33; r23); each 2x2 block is diagonalized in closed form.
+    Broadcasts over arrays of entries; the order is outer -, outer +,
+    inner -, inner +.
+    """
+    eo = 0.5 * (r11 + r44)
+    do = np.hypot(0.5 * (r11 - r44), r14)
+    ei = 0.5 * (r22 + r33)
+    di = np.hypot(0.5 * (r22 - r33), r23)
+    return np.stack([eo - do, eo + do, ei - di, ei + di])
 
 
 @dataclass(frozen=True)
@@ -29,10 +47,9 @@ class ModelParams:
     jz: float = 0.0
     j0: float = 0.0
     h: float = 0.0
-    j: float = 1.0
 
     def __post_init__(self):
-        for name in ("gamma", "jz", "j0", "h", "j"):
+        for name in ("gamma", "jz", "j0", "h"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"non-finite parameter {name}={v}")
@@ -62,10 +79,11 @@ class DimerDensityMatrix:
     off-diagonals carry no phase; every measure downstream depends on
     them only through their absolute values.
 
-    min_eig and psd_flag are derived on construction: psd_flag is True
-    when the smallest eigenvalue is >= -1e-10, i.e. the matrix is
-    positive semidefinite up to numerical noise. A False flag marks an
-    inconsistent input rather than raising, so sweeps can record it.
+    min_eig and psd_flag are derived on construction and cannot be
+    passed in: psd_flag is True when the smallest eigenvalue is
+    >= -1e-10, i.e. the matrix is positive semidefinite up to numerical
+    noise. A False flag marks an inconsistent input rather than raising,
+    so sweeps can record it.
     """
     r11: float
     r22: float
@@ -73,8 +91,8 @@ class DimerDensityMatrix:
     r44: float
     r14: float
     r23: float
-    min_eig: float = None  # type: ignore[assignment]
-    psd_flag: bool = None  # type: ignore[assignment]
+    min_eig: float = field(init=False)
+    psd_flag: bool = field(init=False)
 
     PSD_TOL = -1e-10
 
@@ -123,22 +141,11 @@ class DimerDensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """All four eigenvalues, exact 2x2-block closed form, ascending."""
-        eo = 0.5 * (self.r11 + self.r44)
-        do = np.hypot(0.5 * (self.r11 - self.r44), self.r14)
-        ei = 0.5 * (self.r22 + self.r33)
-        di = np.hypot(0.5 * (self.r22 - self.r33), self.r23)
-        return np.sort(np.array([eo - do, eo + do, ei - di, ei + di]))
+        return np.sort(x_block_eigenvalues(self.r11, self.r22, self.r33,
+                                           self.r44, self.r14, self.r23))
 
     def trace(self) -> float:
         return self.r11 + self.r22 + self.r33 + self.r44
-
-    def reduced_a(self) -> np.ndarray:
-        """Marginal of the first qubit (diagonal for X form)."""
-        return np.array([self.r11 + self.r22, self.r33 + self.r44])
-
-    def reduced_b(self) -> np.ndarray:
-        """Marginal of the second qubit (diagonal for X form)."""
-        return np.array([self.r11 + self.r33, self.r22 + self.r44])
 
     def validate(self) -> "DimerDensityMatrix":
         """Raise unless trace is 1 (to 1e-9) and the matrix is PSD."""

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from diamondqc.measures import (correlation_report, von_neumann_entropy,
-                                x_state_measures)
+from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
 from diamondqc.oracle.cq_search import tdd_bruteforce
 from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
@@ -38,37 +37,6 @@ def werner(p):
         r44=(1.0 - p) / 4.0, r14=0.0, r23=-p / 2.0)
 
 
-class TestEntropy:
-    def test_pure_state(self):
-        assert von_neumann_entropy(BELL) == pytest.approx(0.0, abs=1e-12)
-
-    def test_maximally_mixed(self):
-        assert von_neumann_entropy(MIXED) == pytest.approx(2.0, abs=1e-12)
-        assert von_neumann_entropy(np.eye(2) / 2.0) == pytest.approx(1.0)
-
-    def test_structured_and_dense_paths_agree(self):
-        s = thermal_state(CAL_PARAMS, CAL_TP)
-        assert_allclose(von_neumann_entropy(s),
-                        von_neumann_entropy(s.matrix()), rtol=0.0, atol=1e-12)
-
-    def test_rejects_negative_state(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            von_neumann_entropy(np.diag([1.5, -0.5]))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="trace"):
-            von_neumann_entropy(np.eye(2))
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.3], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            von_neumann_entropy(m)
-
-    def test_rejects_large_dimension(self):
-        with pytest.raises(ValueError):
-            von_neumann_entropy(np.eye(8) / 8.0)
-
-
 class TestKnownStates:
     def test_bell_state(self):
         rep = correlation_report(BELL)
@@ -85,6 +53,7 @@ class TestKnownStates:
         assert rep.tdd == pytest.approx(0.0, abs=1e-9)
         assert rep.concurrence == 0.0
         assert rep.mutual_info == pytest.approx(0.0, abs=1e-12)
+        assert rep.entropy_ab == pytest.approx(2.0, abs=1e-12)
 
     def test_classical_product_state(self):
         # diag(0.36, 0.24, 0.24, 0.16) = (0.6, 0.4) x (0.6, 0.4): a product

@@ -5,12 +5,12 @@ from numpy.testing import assert_allclose
 
 from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
-from diamondqc.oracle import (CQStateParam, FiniteChainSpec, cq_state,
-                              enumerate_reduced_state,
+from diamondqc.oracle import (FiniteChainSpec, enumerate_reduced_state,
                               finite_chain_reduced_state, qd_bruteforce,
                               tdd_bruteforce, trace_norm,
                               transfer_spectrum_ratio)
-from diamondqc.oracle.cq_search import trace_norm_diff_batch
+from diamondqc.oracle.cq_search import (_chi_batch, _project_batch,
+                                        trace_norm_diff_batch)
 from diamondqc.oracle.discord_search import cond_entropy_grid
 from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
 
@@ -139,8 +139,9 @@ class TestProjectiveSearch:
             qd_bruteforce(MIXED, n_grid=15)
         with pytest.raises(ValueError, match="n_refine"):
             qd_bruteforce(MIXED, n_refine=-1)
-        with pytest.raises(ValueError):
-            qd_bruteforce(np.eye(4))  # trace 4
+        # The input check is the trace-distance oracle's, messages included.
+        with pytest.raises(ValueError, match="trace 4 deviates"):
+            qd_bruteforce(np.eye(4))
 
     def test_refinement_monotone(self):
         # Finer grids and more refinement rounds can only lower the
@@ -160,27 +161,26 @@ class TestProjectiveSearch:
         assert got == pytest.approx(rep.qd, abs=1e-4)
 
 
+# Search vectors (theta, phi, p, bloch0, bloch1) of classical-quantum states.
+CQ_VECTOR = np.array([0.7, 1.1, 0.3, 0.2, -0.1, 0.5, -0.4, 0.3, 0.1])
+
+
 class TestCQStates:
     def test_cq_state_is_density_matrix(self):
-        p = CQStateParam(theta=0.7, phi=1.1, p=0.3,
-                         bloch0=(0.2, -0.1, 0.5), bloch1=(-0.4, 0.3, 0.1))
-        chi = cq_state(p)
+        chi = _chi_batch(CQ_VECTOR[None, :])[0]
         assert_allclose(np.trace(chi).real, 1.0, rtol=0.0, atol=1e-14)
         assert np.abs(chi - chi.conj().T).max() <= 1e-14
         assert np.linalg.eigvalsh(chi).min() >= -1e-14
 
-    def test_vector_roundtrip(self):
-        p = CQStateParam(theta=0.7, phi=1.1, p=0.3,
-                         bloch0=(0.2, -0.1, 0.5), bloch1=(-0.4, 0.3, 0.1))
-        q = CQStateParam.from_vector(p.vector())
-        assert_allclose(q.vector(), p.vector(), rtol=0.0, atol=1e-15)
-
-    def test_from_vector_projects_into_feasible_set(self):
-        v = np.array([0.3, 0.2, 1.7, 3.0, 0.0, 0.0, 0.0, -5.0, 0.0])
-        q = CQStateParam.from_vector(v)
-        assert 0.0 <= q.p <= 1.0
-        assert np.linalg.norm(q.bloch0) <= 1.0 + 1e-12
-        assert np.linalg.norm(q.bloch1) <= 1.0 + 1e-12
+    def test_projection_into_feasible_set(self):
+        v = np.array([[0.3, 0.2, 1.7, 3.0, 0.0, 0.0, 0.0, -5.0, 0.0],
+                      CQ_VECTOR])
+        q = _project_batch(v)
+        assert 0.0 <= q[0, 2] <= 1.0
+        assert np.linalg.norm(q[0, 3:6]) <= 1.0 + 1e-12
+        assert np.linalg.norm(q[0, 6:9]) <= 1.0 + 1e-12
+        # A feasible vector is left as it is.
+        assert q[1].tolist() == CQ_VECTOR.tolist()
 
 
 class TestMeasuredStateSearch:
@@ -195,9 +195,8 @@ class TestMeasuredStateSearch:
         assert tdd_bruteforce(MIXED) == pytest.approx(0.0, abs=1e-9)
 
     def test_recovers_member_of_search_family(self):
-        p = CQStateParam(theta=np.pi / 4.0, phi=0.0, p=0.6,
-                         bloch0=(0.3, 0.0, -0.2), bloch1=(-0.1, 0.4, 0.5))
-        assert tdd_bruteforce(cq_state(p)) <= 1e-8
+        v = np.array([[np.pi / 4.0, 0.0, 0.6, 0.3, 0.0, -0.2, -0.1, 0.4, 0.5]])
+        assert tdd_bruteforce(_chi_batch(v)[0]) <= 1e-8
 
     def test_upper_bound_on_closed_form(self):
         # The search minimizes over a subset of zero-discord states, so it

@@ -15,6 +15,18 @@ def test_every_export_resolves():
     assert not missing
 
 
+def test_public_surface_is_frozen():
+    # Adding or removing an export must edit this list on purpose.
+    assert sorted(diamondqc.__all__) == [
+        "Axis", "DimerDensityMatrix", "ModelParams", "SweepSpec", "ThermalPoint",
+        "__version__", "correlation_report", "count_peaks", "emit_csv",
+        "figure_preset", "run_sweep", "thermal_entries_grid", "thermal_state",
+        "x_state_measures"]
+    assert sorted(diamondqc.oracle.__all__) == [
+        "FiniteChainSpec", "enumerate_reduced_state", "finite_chain_reduced_state",
+        "qd_bruteforce", "tdd_bruteforce", "trace_norm", "transfer_spectrum_ratio"]
+
+
 def test_oracles_import_nothing_from_the_fast_path():
     # The oracles check the closed forms, so they must not borrow them.
     fast = ("diamondqc.model", "diamondqc.measures", "diamondqc.sweep")
