@@ -28,8 +28,8 @@ import numpy as np
 from .measures import correlation_report, x_state_measures
 from .model import thermal_entries_grid, thermal_state
 from .params import DimerDensityMatrix, ModelParams, ThermalPoint
-from .sweep import (DEFAULT_PROMINENCE, count_peaks, figure_preset,
-                    prominent_peaks, run_sweep)
+from .sweep import (DEFAULT_PROMINENCE, _search_states, count_peaks,
+                    figure_preset, prominent_peaks, run_sweep)
 
 SUITES = ("psd", "oracle", "figures")
 
@@ -172,11 +172,10 @@ def check_qd_bruteforce() -> CheckResult:
     for _ in range(100):
         states.append(_random_x_state(rng))
 
-    gaps = np.empty(len(states))
-    for i, state in enumerate(states):
-        qd_closed = correlation_report(state).qd
-        qd_search = qd_bruteforce(state, n_grid=24, n_refine=6)
-        gaps[i] = qd_closed - qd_search
+    closed = np.array([correlation_report(state).qd for state in states])
+    search = _search_states(states, lambda part: [
+        qd_bruteforce(s, n_grid=24, n_refine=6) for s in part])[0]
+    gaps = closed - search
     min_gap = float(gaps.min())
     worst_abs = float(np.abs(gaps).max())
     frac_tight = float(np.mean(np.abs(gaps) <= 1e-4))
@@ -196,7 +195,8 @@ def check_tdd_bruteforce() -> CheckResult:
               for t in (0.2, 0.5, 0.7, 1.0, 1.5)
               for h in np.linspace(-2.0, 2.0, 20)]
     closed = np.array([correlation_report(state).tdd for state in states])
-    search = tdd_bruteforce(states, n_starts=8, seed=0)
+    search = _search_states(
+        states, lambda part: tdd_bruteforce(part, n_starts=8, seed=0))[0]
     worst = float(np.max(np.abs(closed - search)))
     passed = worst <= 1e-4
     detail = (f"{len(states)} h-scan states: max |closed - search| = "

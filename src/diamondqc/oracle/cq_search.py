@@ -217,7 +217,9 @@ def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
 
 def _density_matrix(rho) -> np.ndarray:
     """One validated 4x4 complex density matrix from a DimerDensityMatrix
-    or an array-like; the input check of both search oracles."""
+    or an array-like; the input check of both search oracles. An array is
+    held to the bounds of `DimerDensityMatrix.validate`: trace within 1e-9
+    of 1 and no eigenvalue below `DimerDensityMatrix.PSD_TOL`."""
     if isinstance(rho, DimerDensityMatrix):
         return rho.validate().matrix().astype(complex)
     m = np.asarray(rho, dtype=complex)
@@ -226,10 +228,11 @@ def _density_matrix(rho) -> np.ndarray:
     if np.abs(m - m.conj().T).max() > 1e-10:
         raise ValueError("matrix is not Hermitian")
     vals = np.linalg.eigvalsh(m)
-    if vals.min() < -1e-8:
-        raise ValueError(f"matrix has eigenvalue {vals.min():.3e} < -1e-8")
-    if abs(vals.sum() - 1.0) > 1e-6:
-        raise ValueError(f"trace {vals.sum():.6g} deviates from 1")
+    if vals.min() < DimerDensityMatrix.PSD_TOL:
+        raise ValueError(f"matrix has eigenvalue {vals.min():.3e} < "
+                         f"{DimerDensityMatrix.PSD_TOL:g}")
+    if abs(vals.sum() - 1.0) > 1e-9:
+        raise ValueError(f"trace {vals.sum():.12g} deviates from 1")
     return m
 
 

@@ -243,9 +243,13 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     cut into `_ranges` contiguous ranges: this process evaluates the first,
     and a forked child evaluates each other range into the same table.
     Every row depends on its own coordinates only, so neither the chunk
-    size nor the number of ranges changes the result. The oracle spot
-    checks run here once every range is done. Each PSD violation is
-    recorded in the diagnostics but the offending row is still reported.
+    size nor the number of ranges changes the result. Once every range is
+    done, the oracle spot checks search their states on every usable core
+    through `_search_states`, and their residuals are taken here; each
+    state's search value is that of a search over it alone, so the
+    diagnostics and the CSV bytes do not depend on the core count either.
+    Each PSD violation is recorded in the diagnostics but the offending
+    row is still reported.
     """
     spec.validate()
     coords = grid_coords(spec)
@@ -267,13 +271,13 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
         entries = thermal_entries_grid(*(coords[idxs, k] for k in range(5)))
         states = [DimerDensityMatrix(*(float(e[i]) for e in entries))
                   for i in range(idxs.size)]
-        tdd = tdd_bruteforce(states, n_starts=8, seed=seed)
-        checks = []
-        for idx, state, tdd_search in zip(idxs.tolist(), states, tdd):
-            qd_res = abs(table[idx, 0] - qd_bruteforce(state, n_grid=24, n_refine=6))
-            tdd_res = abs(table[idx, 1] - tdd_search)
-            checks.append((idx, float(qd_res), float(tdd_res)))
-        diagnostics["oracle"] = checks
+        tdd, qd = _search_states(
+            states, lambda part: tdd_bruteforce(part, n_starts=8, seed=seed),
+            lambda part: [qd_bruteforce(s, n_grid=24, n_refine=6) for s in part])
+        qd_res = np.abs(table[idxs, 0] - qd)
+        tdd_res = np.abs(table[idxs, 1] - tdd)
+        diagnostics["oracle"] = [(idx, float(a), float(b)) for idx, a, b
+                                 in zip(idxs.tolist(), qd_res, tdd_res)]
 
     header = _build_header(spec, seed, n, diagnostics, label=label)
     return SweepResult(spec=spec, coords=coords, table=table,
@@ -319,7 +323,13 @@ def _run_ranges(cuts: list, work, collect=None) -> None:
     the parent's exit handlers and flushes none of its buffers. Every child
     is reaped on every path; a failed child raises OSError naming its rows
     and exit status. With one range nothing is forked. A child keeps only
-    the thread that forked it, so `work` must not call into BLAS."""
+    the thread that forked it, so `work` may call only into libraries that
+    survive that. NumPy's OpenBLAS does: it registers a fork handler that
+    stops its thread pool before each fork, and starts the pool again when
+    a call needs it, so `work` may call BLAS and LAPACK (the oracle
+    searches' 4x4 eigen-solves run in the calling thread in any case). A
+    library that keeps worker threads across a fork without such a
+    handler must not be called in `work`."""
     spans = list(zip(cuts, cuts[1:]))
     pids = []
     try:
@@ -346,6 +356,38 @@ def _run_ranges(cuts: list, work, collect=None) -> None:
         for pid in pids:
             if pid is not None:
                 os.waitpid(pid, 0)
+
+
+def _search_states(states: list, *searches) -> np.ndarray:
+    """The values of each search over `states`, as an array of shape
+    (len(searches), len(states)), computed on every usable core.
+
+    Each search takes a contiguous slice of `states` and returns one float
+    per state, which must be the value it gives that state searched alone.
+    Every state is validated here first (`DimerDensityMatrix.validate`,
+    the input check the search oracles apply to it), so a state they
+    refuse raises its ValueError in this process before anything is
+    forked. The states are then cut into `_ranges(len(states), 1)`: this
+    process searches the first range and a forked child each other range,
+    each range writing its values into its columns of one array in a
+    shared anonymous mapping. The values do not depend on the number of
+    ranges, and with one range nothing is forked. A failed child raises
+    the OSError of `_run_ranges`, whose "rows" are the range's state
+    indices.
+    """
+    for state in states:
+        state.validate()
+    m = len(states)
+    values = np.ndarray((len(searches), m),
+                        buffer=mmap.mmap(-1, 8 * max(1, len(searches) * m)))
+
+    def search(k, a, b):
+        if a < b:
+            for row, fn in zip(values, searches):
+                row[a:b] = fn(states[a:b])
+
+    _run_ranges(_ranges(m, 1), search)
+    return values
 
 
 def _append(out_fd: int, fd: int) -> None:

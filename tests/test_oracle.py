@@ -221,6 +221,21 @@ class TestMeasuredStateSearch:
         with pytest.raises(ValueError):
             tdd_bruteforce(np.eye(4))
 
+    @pytest.mark.parametrize("state, match", [
+        # Eigenvalue -5e-9: below PSD_TOL = -1e-10.
+        (DimerDensityMatrix(0.25, 0.25, 0.25, 0.25, 0.25 + 5e-9, 0.0),
+         "eigenvalue -5.000e-09 < -1e-10"),
+        # Trace 1 + 5e-9: outside the 1e-9 trace bound.
+        (DimerDensityMatrix(0.25, 0.25, 0.25, 0.25 + 5e-9, 0.0, 0.0),
+         "trace 1.000000005 deviates from 1"),
+    ])
+    def test_array_and_dimer_forms_share_one_input_check(self, state, match):
+        # Both search oracles refuse the state whichever form it is given in.
+        for form in (state, state.matrix()):
+            for search in (qd_bruteforce, tdd_bruteforce):
+                with pytest.raises(ValueError, match=match):
+                    search(form)
+
     def test_accepts_structured_state(self):
         s = DimerDensityMatrix(r11=0.5, r22=0.0, r33=0.0, r44=0.5,
                                r14=0.5, r23=0.0)

@@ -12,11 +12,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import diamondqc
+import diamondqc.oracle
 from diamondqc import sweep
 from diamondqc.cli import main as cli_main
 from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
-from diamondqc.params import ModelParams, ThermalPoint
+from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
 from diamondqc.sweep import (_CHUNK_SIZE, _CSV_BLOCK, CSV_COLUMNS,
                              DEFAULT_PROMINENCE, MEASURE_NAMES, PARAM_NAMES,
                              PRESET_NAMES, T_AXIS_FLOOR, Axis,
@@ -366,6 +367,86 @@ class TestRunSweep:
         assert res.header["oracle_points"] == "2"
         assert float(res.header["oracle_max_qd_residual"]) <= 1e-4
         assert float(res.header["oracle_max_tdd_residual"]) <= 1e-4
+
+    @pytest.fixture(scope="class")
+    def spot_checks_in_one_range(self):
+        """The oracle diagnostics and header lines of a sweep with six spot
+        checks, searched in this process alone."""
+        with pytest.MonkeyPatch.context() as mp:
+            forked = force_ranges(mp, 1)
+            res = run_sweep(with_oracle_check(small_spec(3, 4), every=2), seed=3)
+        assert forked == []
+        return res
+
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    def test_spot_checks_do_not_depend_on_range_count(
+            self, monkeypatch, spot_checks_in_one_range, ranges):
+        # The six spot-check states are searched on `ranges` ranges, each
+        # range but the first in a forked child; the residuals must equal
+        # those of the one-range run bit for bit.
+        one = spot_checks_in_one_range
+        forked = force_ranges(monkeypatch, ranges)
+        res = run_sweep(with_oracle_check(small_spec(3, 4), every=2), seed=3)
+        assert len(forked) == 2 * (ranges - 1)  # evaluators, then searches
+        assert [c[0] for c in res.diagnostics["oracle"]] == [0, 2, 4, 6, 8, 10]
+        assert (np.array(res.diagnostics["oracle"]).tobytes()
+                == np.array(one.diagnostics["oracle"]).tobytes())
+        assert res.header == one.header
+
+    def test_invalid_spot_check_state_raises_before_any_search_fork(
+            self, monkeypatch):
+        # Every state is validated in this process before the searches fork,
+        # so a state the oracles refuse raises their own ValueError.
+        def skewed(r11, r22, r33, r44, r14, r23):
+            return DimerDensityMatrix(r11, r22, r33, r44, r14 + 1.0, r23)
+
+        spec = with_oracle_check(small_spec(3, 4), every=2)
+        first = thermal_entries_grid(*grid_coords(spec)[0])
+        with pytest.raises(ValueError, match="matrix has eigenvalue") as alone:
+            diamondqc.oracle.tdd_bruteforce(skewed(*map(float, first)))
+        forked = force_ranges(monkeypatch, 3)
+        monkeypatch.setattr(sweep, "DimerDensityMatrix", skewed)
+        with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+            run_sweep(spec)
+        assert len(forked) == 2  # the evaluators only
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_search_leaves_no_process(self, monkeypatch, failing):
+        # A search that fails, forked or not, fails the sweep, and every
+        # child is reaped; a failed child is named by its range of states.
+        parent, tdd_bruteforce = os.getpid(), diamondqc.oracle.tdd_bruteforce
+
+        def search_or_fail(states, **kwargs):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise RuntimeError("search failed")
+            return tdd_bruteforce(states, **kwargs)
+
+        force_ranges(monkeypatch, 3)
+        monkeypatch.setattr(diamondqc.oracle, "tdd_bruteforce", search_or_fail)
+        error, match = ((OSError, "rows 2 to 4 exited with status 1")
+                        if failing == "child" else (RuntimeError, "search failed"))
+        with pytest.raises(error, match=match):
+            run_sweep(with_oracle_check(small_spec(3, 4), every=2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_child_returns_the_parents_lapack_bits(self):
+        # OpenBLAS stops its thread pool before a fork and starts it again
+        # when a call needs it, so a forked child may call LAPACK after the
+        # parent has, as the forked oracle searches do.
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))
+        stack = m + m.conj().transpose(0, 2, 1)
+        big = rng.normal(size=(300, 300))
+        np.linalg.eigvalsh(big + big.T)
+        want = np.linalg.eigvalsh(stack)
+        got = np.frombuffer(mmap.mmap(-1, want.nbytes), dtype=float).reshape(want.shape)
+
+        def solve(k, a, b):
+            got[a:b] = np.linalg.eigvalsh(stack[a:b])
+
+        sweep._run_ranges([0, 0, len(stack)], solve)
+        assert got.tobytes() == want.tobytes()
 
     def test_column_and_line_access(self):
         res = run_sweep(small_spec(3, 4))
