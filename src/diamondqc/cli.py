@@ -69,7 +69,8 @@ def _cmd_sweep(args) -> int:
                         read_sweep_config, run_sweep, with_oracle_check)
     try:
         if args.preset is not None:
-            spec = figure_preset(args.preset, n_points=args.points or 201)
+            spec = figure_preset(
+                args.preset, n_points=201 if args.points is None else args.points)
             label = args.preset
         else:
             if args.points is not None:

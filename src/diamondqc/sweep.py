@@ -30,17 +30,78 @@ DEFAULT_PROMINENCE = 0.005
 T_AXIS_FLOOR = 0.02
 
 _CHUNK_SIZE = 1 << 14
-# emit_csv formats rows a block at a time, with one %-operation on the row
-# format repeated; a block of 4096 rows is a string of about 0.5 MB. The
-# five coordinate columns and psd_flag hold few distinct values in a block,
-# so each distinct value is formatted once and enters its rows through a %s
-# slot; the six measure columns are formatted per row. A large body is cut
-# at block boundaries into one contiguous row range per writer process, as
-# the grid is cut at chunk boundaries into one range per evaluator.
+# emit_csv formats rows a block at a time into one reusable byte matrix of
+# `_CSV_BLOCK` rows, a field of at most `_FIELD` bytes plus a separator per
+# column, at most 1.2 MB. A large body is cut at block boundaries into one
+# contiguous row range per writer process, as the grid is cut at chunk
+# boundaries into one range per evaluator.
 _CSV_BLOCK = 4096
-_CSV_ROW = ",".join(["%s"] * 5 + ["%.12g"] * 6 + ["%s"]) + "\n"
 _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
                "eig_min", "psd_flag")
+
+# The byte slots of one field written by `_fmt_bytes`, three 8-byte words:
+# the sign, the "0." to "0.000" prefix of -4 <= X <= -1, the leading digit
+# and the point; the digits d1..d8; d9..d11 and the "e-XX" or "e-XXX"
+# suffix of X < -4. Unused slots hold NUL, which the writer deletes.
+_FIELD = 24
+_MIN_FAST = 1e-290          # below this, 10**(11 - X) would overflow
+_MAX_E = 291                # largest -X the exponent correction can reach
+
+
+def _pow10_table():
+    """10**k for each k <= 11 + `_MAX_E`, as a row of four floats: hi, the
+    correctly rounded 10**k; hi_h and hi_l, its halves of at most 26 bits
+    each (Veltkamp's split, taken at 2**-600 scale so that it cannot
+    overflow); and lo, the float nearest to 10**k - hi."""
+    ks = range(11 + _MAX_E + 1)
+    hi = np.array([float("1e%d" % k) for k in ks])
+    lo = np.array([float(10 ** k - int(h)) for k, h in zip(ks, hi.tolist())])
+    scaled = np.ldexp(hi, -600)
+    c = scaled * 134217729.0
+    hi_h = np.ldexp(c - (c - scaled), 600)
+    return np.stack([hi, hi_h, hi - hi_h, lo], axis=1)
+
+
+_POW10 = _pow10_table()
+
+
+def _byte_tables():
+    """The formatter's lookup tables, built with array arithmetic. With
+    e = -X, and "stripped" meaning with trailing zeros turned to NUL:
+
+    lead    the first word, at ((e * 2 + sign) * 10 + d0) * 2 + 1 if the
+            point is dropped (d1..d11 all zero), else + 0
+    quads   four digits k < 10**4 as one uint32 at k, stripped at 10**4 + k
+    triples three digits k < 1000 and a NUL as one uint32, stripped
+    suffix  the third word with its digit slots empty, at e
+    """
+    k = np.arange(10 ** 4, dtype=np.int16)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + 48
+    zeros = np.stack([k % 10 ** j == 0 for j in range(1, 5)]).sum(axis=0, dtype=np.int16)
+    quads = np.vstack([digits, np.where(np.arange(4) < 4 - zeros[:, None], digits, 0)])
+    triples = np.hstack([quads[10 ** 4:][:1000, 1:], np.zeros((1000, 1), np.int16)])
+    e = np.arange(_MAX_E + 1)[:, None]
+    fixed = (e >= 1) & (e <= 4)
+    prefix = np.where(fixed & (np.arange(5) < e + 1), [48, 46, 48, 48, 48], 0).astype(np.uint8)
+    exponent = np.hstack([e // 100, e // 10 % 10, e % 10]) + 48
+    suffix = np.zeros((e.size, 8), dtype=np.uint8)
+    suffix[:, 3:8] = np.where(e >= 5, np.hstack([
+        np.full_like(e, 101), np.full_like(e, 45),
+        np.where(e >= 100, exponent, np.roll(exponent, -1, axis=1))]), 0)
+    suffix[:, 7] *= e[:, 0] >= 100
+    i = np.arange(e.size * 40, dtype=np.int32)
+    lead = np.zeros((i.size, 8), dtype=np.uint8)
+    lead[:, 0] = i // 20 % 2 * 45
+    lead[:, 1:6] = prefix[i // 40]
+    lead[:, 6] = i // 2 % 10 + 48
+    lead[:, 7] = ~fixed[i // 40, 0] * (i % 2 == 0) * 46
+    return (lead.view(np.uint64).ravel(),
+            quads.astype(np.uint8).view(np.uint32).ravel(),
+            triples.astype(np.uint8).view(np.uint32).ravel(),
+            suffix.view(np.uint64).ravel())
+
+
+_LEAD, _QUADS, _TRIPLES, _SUFFIX = _byte_tables()
 
 
 class SweepConfigError(ValueError):
@@ -51,12 +112,94 @@ def _fmt(value: float) -> str:
     return "%.12g" % float(value)
 
 
-def _fmt_distinct(col: np.ndarray) -> np.ndarray:
-    """`_fmt` of each float64 in `col`, as an object array of strings, with
-    each distinct bit pattern formatted once (so -0.0 stays apart from 0.0)."""
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = np.array([_fmt(v) for v in bits.view(float).tolist()], dtype=object)
-    return text[inverse]
+def _half_step(a, k, y, m):
+    """Round a * 10**k exactly where its float product y = a * hi lies in
+    the guard band, within 0.001 of the half-integer next to m = rint(y).
+
+    The exact value is y + err + a * (10**k - hi), where err, the rounding
+    error of y, is exact by Dekker's product. So d = y - m + err + a * lo
+    lies within 1.2e-16 of the exact distance from m. Returns the step
+    (-1, 0 or 1) from m to the nearest integer, and whether it is certain:
+    it is not only where |d| is within 1e-15 of 0.5, at an exact tie (such
+    as 2**-18 at 12 digits) or all but one."""
+    hi, hi_h, hi_l, lo = _POW10[k].T
+    c = a * 134217729.0
+    a_h = c - (c - a)
+    a_l = a - a_h
+    err = a_l * hi_l - (((y - a_h * hi_h) - a_l * hi_h) - a_h * hi_l)
+    d = (y - m) + err + a * lo
+    return (d > 0.5).astype(np.int64) - (d < -0.5), np.abs(np.abs(d) - 0.5) > 1e-15
+
+
+def _fmt_bytes(values: np.ndarray) -> np.ndarray:
+    """"%.12g" of each float64 in `values`, as an (n, `_FIELD`) uint8 matrix
+    whose row, with its NUL bytes deleted, reads exactly as `_fmt` writes it.
+
+    Zero and each 1e-290 <= |v| < 10 are formatted with array operations.
+    The decimal exponent X comes from log10, corrected by one where the
+    scaled value leaves [1e11, 1e12). Then y = |v| * 10**(11 - X), with
+    10**k the correctly rounded power, lies within 2**-52 * y < 2.3e-4 of
+    the exact scaled value, so where |y - rint(y)| < 0.499 the integer
+    m = rint(y) is the exactly rounded 12-digit mantissa, as "%.12g" takes
+    it. In the guard band beyond 0.499, m is rounded again from the exact
+    error of y by `_half_step`. An m of 10**12 is carried to 10**11 at
+    exponent X + 1. The sign comes from the sign bit, so -0.0 reads "-0".
+    Only nan, +-inf, |v| >= 10 (or a carry to 10), 0 < |v| < 1e-290 and
+    the exact and all but exact rounding ties go through `_fmt`, one value
+    at a time."""
+    v = np.ravel(values)
+    a = np.abs(v)
+    zero = a == 0
+    fast = zero | ((a >= _MIN_FAST) & (a < 10))
+    a[~fast | zero] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[11 - x, 0]
+    x += (y >= 1e12).astype(np.int64) - (y < 1e11)
+    np.multiply(a, _POW10[11 - x, 0], out=y)
+    m = np.rint(y)
+    band = np.flatnonzero(fast & (np.abs(y - m) >= 0.499))
+    if band.size:
+        step, fast[band] = _half_step(a[band], 11 - x[band], y[band], m[band])
+        m[band] += step
+    fast &= (m >= 1e11) & (m <= 1e12)
+    carry = m == 1e12
+    x += carry
+    fast &= x <= 0
+    m[carry] = 1e11
+    m[zero] = 0
+    # Arrays are freed once spent: a block formats 24,576 values at once.
+    del a, y
+    # e = -X; the mantissa's digits are d0, then d1..d11 in groups of
+    # four, four and three
+    e = np.where(fast, -x, 0)
+    del x
+    m = m.astype(np.int64)
+    lead = m // 10 ** 11
+    m -= lead * 10 ** 11
+    lead += (e * 2 + np.signbit(v)) * 10
+    lead *= 2
+    lead += m == 0
+    words = np.empty((v.size, 3), dtype=np.uint64)
+    quads = words.view(np.uint32)
+    words[:, 0] = np.take(_LEAD, lead)
+    words[:, 2] = np.take(_SUFFIX, e)
+    del e, lead
+    d1 = m // 1000
+    m -= d1 * 1000
+    quads[:, 4] |= np.take(_TRIPLES, m)
+    z9 = m == 0
+    del m
+    d5 = d1 % 10 ** 4
+    d1 //= 10 ** 4
+    quads[:, 3] = np.take(_QUADS, d5 + z9 * 10 ** 4)
+    quads[:, 2] = np.take(_QUADS, d1 + (z9 & (d5 == 0)) * 10 ** 4)
+    out = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(_fmt(w).encode().ljust(_FIELD, b"\0")
+                        for w in v[slow].tolist())
+        out[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD)
+    return out
 
 
 @dataclass(frozen=True)
@@ -285,20 +428,50 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
 
 
 def _write_rows(fh, coords: np.ndarray, table: np.ndarray) -> None:
-    """Write one CSV row per row of `coords` and `table` to `fh`, a block of
-    `_CSV_BLOCK` rows at a time through one reusable block array. In a
-    block, the coordinate and psd_flag strings are formatted once per
-    distinct value, told apart by bit pattern so that -0.0 stays "-0"."""
+    """Write one CSV row per row of `coords` and `table` to the binary file
+    `fh`, a block of `_CSV_BLOCK` rows at a time. Each column of a block
+    is a field of byte slots from `_fmt_bytes`; the fields and their commas
+    and newline are joined into one byte matrix, allocated once, and
+    written with their NUL bytes deleted.
+
+    The coordinate and psd_flag columns hold few distinct values in a
+    block: each distinct bit pattern is formatted once (so -0.0 stays
+    "-0"), the leading and trailing slots that none of them uses are
+    dropped, and the fields are gathered into their rows. The six measure
+    columns are formatted per row. Every float reads as "%.12g" writes it:
+    `_fmt_bytes` takes the rounding of a 12-digit mantissa from a scaled
+    value it knows to within 2.3e-4 only where that value is more than
+    0.001 from a rounding tie (its 0.499 guard), and rounds the guard band
+    again from the exact error of the scaling (to within 1.2e-16). It
+    formats one at a time, by `_fmt`, only nan, +-inf, the values outside
+    zero and 1e-290 <= |v| < 10 and those within 1e-15 of a tie; no value
+    of the presets or of a cold, zero-field box is one of them."""
     n = coords.shape[0]
-    block = np.empty((_CSV_BLOCK, len(CSV_COLUMNS)), dtype=object)
+    block = np.empty(_CSV_BLOCK * len(CSV_COLUMNS) * (_FIELD + 1), dtype=np.uint8)
+    seps = np.full((_CSV_BLOCK, len(CSV_COLUMNS)), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
     for i in range(0, n, _CSV_BLOCK):
-        k = min(_CSV_BLOCK, n - i)
-        c, t = coords[i:i + k], table[i:i + k]
-        for j in range(5):
-            block[:k, j] = _fmt_distinct(c[:, j])
-        block[:k, 5:11] = t[:, :6]
-        block[:k, 11] = _fmt_distinct(t[:, 6])
-        fh.write((_CSV_ROW * k) % tuple(block[:k].ravel().tolist()))
+        rows = _fill_block(block, seps, coords[i:i + _CSV_BLOCK], table[i:i + _CSV_BLOCK])
+        fh.write(rows.tobytes().translate(None, b"\0"))
+
+
+def _fill_block(block, seps, c, t):
+    """The rows of one block, as a (rows, width) view of the front of
+    `block`: the fields of `c` and `t`, each followed by its separator."""
+    k = c.shape[0]
+    distinct = [np.unique(col.view(np.int64), return_inverse=True)
+                for col in (*c.T, t[:, 6])]
+    text = _fmt_bytes(np.concatenate([bits for bits, _ in distinct]).view(float))
+    fields, start = [], 0
+    for bits, inverse in distinct:
+        part = text[start:start + bits.size]
+        used = np.flatnonzero(part.any(axis=0))
+        fields.append(np.take(part[:, used[0]:used[-1] + 1], inverse, axis=0))
+        start += bits.size
+    fields[5:5] = _fmt_bytes(t[:, :6]).reshape(k, 6, _FIELD).transpose(1, 0, 2)
+    parts = [p for j, f in enumerate(fields) for p in (f, seps[:k, j:j + 1])]
+    width = sum(p.shape[1] for p in parts)
+    return np.concatenate(parts, axis=1, out=block[:k * width].reshape(k, width))
 
 
 def _ranges(n: int, unit: int) -> list:
@@ -314,22 +487,22 @@ def _ranges(n: int, unit: int) -> list:
     return [min(n, k * units // count * unit) for k in range(count)] + [n]
 
 
-def _run_ranges(cuts: list, work, collect=None) -> None:
+def _run_ranges(cuts: list, work, collect=None, items: str = "rows") -> None:
     """Run work(k, a, b) on each range [a, b) between consecutive `cuts`:
     ranges 1.. each in a forked child, then range 0 in this process. The
     children are reaped in row order, and collect(k) runs here after child
     k has exited with status 0. A child leaves through os._exit, with
     status 0 once its work is done and 1 on any error, so it runs none of
     the parent's exit handlers and flushes none of its buffers. Every child
-    is reaped on every path; a failed child raises OSError naming its rows
-    and exit status. With one range nothing is forked. A child keeps only
-    the thread that forked it, so `work` may call only into libraries that
-    survive that. NumPy's OpenBLAS does: it registers a fork handler that
-    stops its thread pool before each fork, and starts the pool again when
-    a call needs it, so `work` may call BLAS and LAPACK (the oracle
-    searches' 4x4 eigen-solves run in the calling thread in any case). A
-    library that keeps worker threads across a fork without such a
-    handler must not be called in `work`."""
+    is reaped on every path; a failed child raises OSError naming its range
+    ("`items` a to b") and exit status. With one range nothing is forked.
+    A child keeps only the thread that forked it, so `work` may call only
+    into libraries that survive that. NumPy's OpenBLAS does: it registers a
+    fork handler that stops its thread pool before each fork, and starts
+    the pool again when a call needs it, so `work` may call BLAS and LAPACK
+    (the oracle searches' 4x4 eigen-solves run in the calling thread in any
+    case). A library that keeps worker threads across a fork without such
+    a handler must not be called in `work`."""
     spans = list(zip(cuts, cuts[1:]))
     pids = []
     try:
@@ -348,7 +521,7 @@ def _run_ranges(cuts: list, work, collect=None) -> None:
             status = os.waitpid(pids[k - 1], 0)[1]
             pids[k - 1] = None
             if status:
-                raise OSError(f"process for rows {a} to {b} exited with "
+                raise OSError(f"process for {items} {a} to {b} exited with "
                               f"status {os.waitstatus_to_exitcode(status)}")
             if collect is not None:
                 collect(k)
@@ -372,8 +545,7 @@ def _search_states(states: list, *searches) -> np.ndarray:
     each range writing its values into its columns of one array in a
     shared anonymous mapping. The values do not depend on the number of
     ranges, and with one range nothing is forked. A failed child raises
-    the OSError of `_run_ranges`, whose "rows" are the range's state
-    indices.
+    the OSError of `_run_ranges`, naming its range of state indices.
     """
     for state in states:
         state.validate()
@@ -386,7 +558,7 @@ def _search_states(states: list, *searches) -> np.ndarray:
             for row, fn in zip(values, searches):
                 row[a:b] = fn(states[a:b])
 
-    _run_ranges(_ranges(m, 1), search)
+    _run_ranges(_ranges(m, 1), search, items="states")
     return values
 
 
@@ -420,15 +592,14 @@ def emit_csv(result: SweepResult, path) -> None:
             _write_rows(fh, coords[a:b], table[a:b])
             fh.flush()
             return
-        with open(fds[k - 1], "w", encoding="utf-8", newline="\n",
-                  closefd=False) as part:
+        with open(fds[k - 1], "wb", closefd=False) as part:
             _write_rows(part, coords[a:b], table[a:b])
 
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, value in result.header.items():
-                fh.write(f"# {key} = {value}\n")
-            fh.write(",".join(CSV_COLUMNS) + "\n")
+        with open(path, "wb") as fh:
+            head = "".join(f"# {key} = {value}\n"
+                           for key, value in result.header.items())
+            fh.write((head + ",".join(CSV_COLUMNS) + "\n").encode())
             try:
                 for _ in cuts[2:]:
                     fds.append(os.memfd_create("diamondqc-csv"))

@@ -114,6 +114,16 @@ class TestSweep:
         assert code == 1
         assert "--points" in capsys.readouterr().err
 
+    def test_zero_points_is_refused(self, tmp_path, capsys):
+        # --points 0 is a value, not an absent flag: it must not fall back
+        # to the default of 201 points.
+        out = tmp_path / "fig4a.csv"
+        code = main(["sweep", "--preset", "fig4a", "--points", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "n_points must be >= 2, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset(self, capsys):
         code = main(["sweep", "--preset", "fig9", "--out", "/tmp/x.csv"])
         assert code == 1

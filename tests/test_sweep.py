@@ -1,5 +1,6 @@
 """Tests for sweep configuration, execution, and CSV output."""
 import errno
+import io
 import mmap
 import os
 import re
@@ -9,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import diamondqc
@@ -423,7 +425,7 @@ class TestRunSweep:
 
         force_ranges(monkeypatch, 3)
         monkeypatch.setattr(diamondqc.oracle, "tdd_bruteforce", search_or_fail)
-        error, match = ((OSError, "rows 2 to 4 exited with status 1")
+        error, match = ((OSError, "process for states 2 to 4 exited with status 1")
                         if failing == "child" else (RuntimeError, "search failed"))
         with pytest.raises(error, match=match):
             run_sweep(with_oracle_check(small_spec(3, 4), every=2))
@@ -502,7 +504,18 @@ class TestCsvOutput:
         # columns are formatted once per distinct value in a block: a
         # dedupe by float equality would write 0.0 and -0.0 alike.
         n = _CSV_BLOCK + 3
-        special = [-0.0, float("nan"), 1e-300, 0.1 + 0.2, -1e300, 2.0 ** -1074]
+        special = [-0.0, float("nan"), 1e-300, 0.1 + 0.2, -1e300, 2.0 ** -1074,
+                   # the floats nearest to (m + 0.5) * 10**-k: in the guard
+                   # band, within 0.001 of a rounding tie
+                   1.234567890125, 0.1000000000005, 3.141592653585e-20,
+                   -9.999999999985e-150, 5.000000000005e-06,
+                   # an exact tie, rounded half to even
+                   2.0 ** -18,
+                   # carries to the next power of ten, the last one from e
+                   # notation into fixed
+                   9.9999999999995, 0.99999999999995, 9.99999999999995e-05,
+                   1e-4, 10.0, 1e12, 4.3e-160, 1e-290, np.nextafter(1e-290, 0),
+                   2.2250738585072014e-308, 5e-324, float("inf"), -float("inf")]
         values = np.random.default_rng(5).normal(size=(n, 12))
         values[:, 0] = np.resize(special, n)
         values[:, 2] = np.resize([0.0, -0.0, 0.0, 1.5, -0.0, 1.5, 1.5], n)
@@ -522,6 +535,40 @@ class TestCsvOutput:
         assert [c[2] for c in cells] == [b"0", b"-0", b"0", b"1.5", b"-0", b"1.5", b"1.5"]
         assert {c[3] for c in cells} == {b"nan"}
         assert [c[11] for c in cells[:3]] == [b"0", b"1", b"-0"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
+           floats=st.lists(st.floats(1e-12, 10.0, exclude_max=True), max_size=40))
+    def test_formatter_reads_as_percent_formatting(self, bits, floats):
+        # Any float64, from raw bit patterns (nan payloads, subnormals,
+        # infinities) and from the range the measures fill, reads exactly
+        # as "%.12g" writes it once its NUL slots are deleted.
+        values = np.concatenate([np.array(bits, dtype=np.uint64).view(float),
+                                 np.array(floats, dtype=float)])
+        got = [row.tobytes().replace(b"\0", b"") for row in sweep._fmt_bytes(values)]
+        assert got == [("%.12g" % v).encode() for v in values.tolist()]
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2c", "fig3a", "fig4a", "fig5",
+                                      "cold-box"])
+    def test_no_grid_value_is_formatted_alone(self, monkeypatch, name):
+        # Every coordinate and measure of the presets and of a cold, zero
+        # field box (tdd down to 4.3e-160) takes the array path of the
+        # formatter; `_fmt`, the per-value path, is left to nan, +-inf,
+        # exact rounding ties and magnitudes outside 1e-290..10.
+        if name == "cold-box":
+            spec = SweepSpec(
+                fixed={"gamma": 0.0, "h_over_J": 0.0, "Jz_over_J": 0.0},
+                axes=(Axis("J0_over_J", -2.0, 2.0, 41),
+                      Axis("T_over_J", 0.002, 0.05, 41))).validate()
+        else:
+            spec = figure_preset(name)
+        res = run_sweep(spec)
+        calls, fmt = [], sweep._fmt
+        monkeypatch.setattr(sweep, "_fmt", lambda v: calls.append(v) or fmt(v))
+        out = io.BytesIO()
+        sweep._write_rows(out, res.coords, res.table)
+        assert calls == []
+        assert out.getvalue() == per_value_csv(res).split(b"\n", len(res.header) + 1)[-1]
 
     @pytest.mark.parametrize("name", ["fig2a", "fig5"])
     def test_preset_rows_match_per_value_formatting(self, tmp_path, name):
