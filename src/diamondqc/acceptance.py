@@ -173,8 +173,7 @@ def check_qd_bruteforce() -> CheckResult:
         states.append(_random_x_state(rng))
 
     closed = np.array([correlation_report(state).qd for state in states])
-    search = _search_states(states, lambda part: [
-        qd_bruteforce(s, n_grid=24, n_refine=6) for s in part])[0]
+    search = _search_states(states, lambda part: [qd_bruteforce(s) for s in part])[0]
     gaps = closed - search
     min_gap = float(gaps.min())
     worst_abs = float(np.abs(gaps).max())
@@ -195,8 +194,7 @@ def check_tdd_bruteforce() -> CheckResult:
               for t in (0.2, 0.5, 0.7, 1.0, 1.5)
               for h in np.linspace(-2.0, 2.0, 20)]
     closed = np.array([correlation_report(state).tdd for state in states])
-    search = _search_states(
-        states, lambda part: tdd_bruteforce(part, n_starts=8, seed=0))[0]
+    search = _search_states(states, lambda part: tdd_bruteforce(part, seed=0))[0]
     worst = float(np.max(np.abs(closed - search)))
     passed = worst <= 1e-4
     detail = (f"{len(states)} h-scan states: max |closed - search| = "

@@ -102,9 +102,6 @@ def _cmd_point(args) -> int:
     from .model import thermal_state
     from .params import ModelParams, ThermalPoint
 
-    if not args.T > 0:
-        print(f"error: T must be positive, got {args.T}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         params = ModelParams(gamma=args.gamma, jz=args.Jz, j0=args.J0, h=args.h)
         report = correlation_report(thermal_state(params, ThermalPoint(args.T)))

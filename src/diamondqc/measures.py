@@ -1,9 +1,11 @@
 """Correlation measures for two-qubit X states.
 
 All entropies are in bits (base-2 logarithms). The discord closed form
-returns the minimum of its two measurement branches. The trace-distance
+measures the second qubit and returns the minimum of its two measurement
+branches, along z and in the transverse plane. The trace-distance
 discord closed form (Ciccarello, Tufarelli and Giovannetti, New J. Phys.
-16, 013038, 2014) is evaluated as a weighted mean of g1^2 and gmin^2,
+16, 013038, 2014), whose classical-quantum states are classical on the
+first qubit, is evaluated as a weighted mean of g1^2 and gmin^2,
 which is free of cancellation and lies in [|gmin|, |g1|] up to rounding;
 where both weights vanish (for example on Bell projectors) all three
 correlation-matrix magnitudes |g_i| coincide and the value is |g1|.
@@ -23,10 +25,10 @@ from .params import DimerDensityMatrix, x_block_eigenvalues
 
 
 def _xlog2x(x):
-    """x * log2(x), elementwise, with 0 log 0 = 0."""
+    """x * log2(x), elementwise, with 0 log 0 = 0 and nan kept."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    m = x > 1e-300
+    m = ~(x <= 1e-300)  # nan takes the log branch and stays nan
     out[m] = x[m] * np.log2(x[m])
     return out
 
@@ -68,8 +70,10 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
     entropy_ab, entropy_a, eig_min, psd_flag, plus the trace-distance
     branch quantities. Concurrence is clipped into [0, 1].
 
-    The discord branches assume the symmetric X family (r22 == r33); every
-    thermal state produced by the model module satisfies this.
+    The discord measures the second qubit, as oracle.qd_bruteforce does:
+    d1 along z and d2 in the transverse plane, each from S(B). The
+    trace-distance discord takes the classical-quantum states classical
+    on the first qubit, as oracle.tdd_bruteforce does.
     """
     r11, r22, r33, r44, r14, r23 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (r11, r22, r33, r44, r14, r23)))
@@ -85,13 +89,16 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
     entropy_b = _binary_entropy(pb)
     mutual_info = entropy_a + entropy_b - entropy_ab
 
-    # branch 1: measurement along the computational axis
-    cond_z = -(_xlog2x(r11) + _xlog2x(r22) - _xlog2x(r11 + r22)) \
-             - (_xlog2x(r44) + _xlog2x(r22) - _xlog2x(r22 + r44))
-    d1 = entropy_a - entropy_ab + cond_z
-    # branch 2: transverse measurement
-    big_gamma = np.sqrt((r11 - r44) ** 2 + 4.0 * (np.abs(r14) + np.abs(r23)) ** 2)
-    d2 = entropy_a - entropy_ab + _binary_entropy(np.clip(0.5 * (1.0 + big_gamma), 0.0, 1.0))
+    # branch 1: the second qubit measured along z, which leaves the first
+    # in (r11, r33) or (r22, r44)
+    cond_z = -(_xlog2x(r11) + _xlog2x(r33) - _xlog2x(r11 + r33)) \
+             - (_xlog2x(r22) + _xlog2x(r44) - _xlog2x(r22 + r44))
+    d1 = entropy_b - entropy_ab + cond_z
+    # branch 2: transverse measurement; both outcomes leave the first qubit
+    # with Bloch length big_gamma, its own z component beside the coherences
+    big_gamma = np.sqrt(((r11 - r44) + (r22 - r33)) ** 2
+                        + 4.0 * (np.abs(r14) + np.abs(r23)) ** 2)
+    d2 = entropy_b - entropy_ab + _binary_entropy(np.clip(0.5 * (1.0 + big_gamma), 0.0, 1.0))
     qd = np.minimum(d1, d2)
     qd = np.where((qd < 0.0) & (qd >= -1e-12), 0.0, qd)
 

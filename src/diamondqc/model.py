@@ -13,8 +13,9 @@ with (v1, v2) the normalized dominant eigenvector and lambda the
 dominant eigenvalue. The identity v^T W v = lambda makes the trace
 exactly 1. Each sector's exponents are computed once, in one pass over
 the sectors, and their maximum is factored out of every exponential, so
-temperatures down to T/J = 0.01 and large couplings stay inside the
-floating-point range. All couplings and temperatures are in units of J,
+no exponential overflows; only beta times the energy scale itself can,
+and `check_beta_energy` refuses those points. All couplings and
+temperatures are in units of J,
 which therefore never appears as a parameter.
 
 Every operation broadcasts over NumPy arrays; scalars in, scalars out.
@@ -94,12 +95,32 @@ def _transfer(entries):
     return lam, v1, v2
 
 
+def check_beta_energy(j0, t, h, gamma, jz) -> None:
+    """Raise ValueError, naming the first such point, where beta times the
+    cell's energy scale, (2|J0| + 2|h| + |gamma| + |Jz| + 1) / T, reaches
+    half the largest float64. Every exponent piece of `_scaled_blocks`, and
+    beta itself, is at most that scale, so below it none overflows and no
+    entry is nan; the factor two leaves room for their rounding. Broadcasts;
+    the scale grows with each |coupling| and with 1 / T."""
+    j0, t, h, gamma, jz = np.broadcast_arrays(j0, t, h, gamma, jz)
+    with np.errstate(over="ignore"):
+        scale = (2.0 * np.abs(j0) + 2.0 * np.abs(h) + np.abs(gamma) + np.abs(jz) + 1.0) / t
+    over = ~(scale < 0.5 * np.finfo(float).max)
+    if np.any(over):
+        k = np.argmax(over)
+        raise ValueError(
+            f"beta * energy overflows float64 at T/J = {t.flat[k]:.6g} with "
+            f"J0/J = {j0.flat[k]:.6g}, h/J = {h.flat[k]:.6g}, "
+            f"gamma = {gamma.flat[k]:.6g}, Jz/J = {jz.flat[k]:.6g}")
+
+
 def thermal_entries_grid(j0, t, h, gamma, jz):
     """Vectorized thermal-state entries over broadcastable parameter arrays.
 
     Returns (r11, r22, r33, r44, r14, r23) as arrays of the broadcast
     shape. Raises ValueError on a non-positive or non-finite temperature
-    and on non-finite couplings, as ThermalPoint and ModelParams do.
+    and on non-finite couplings, as ThermalPoint and ModelParams do, and
+    where `check_beta_energy` does.
     """
     arrs = [np.asarray(v, dtype=float) for v in (j0, t, h, gamma, jz)]
     if np.any(arrs[1] <= 0.0) or not np.all(np.isfinite(arrs[1])):
@@ -108,6 +129,7 @@ def thermal_entries_grid(j0, t, h, gamma, jz):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"non-finite coupling {name} in grid")
     j0a, ta, ha, ga, jza = np.broadcast_arrays(*arrs)
+    check_beta_energy(j0a, ta, ha, ga, jza)
     blocks = _scaled_blocks(1.0 / ta, ga, jza, j0a, ha)
     lam, v1, v2 = _transfer(blocks)
     qp = v1 * v1

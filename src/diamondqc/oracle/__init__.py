@@ -2,8 +2,10 @@
 
 finite_chain: exact thermodynamics of small periodic chains, converging
 to the closed-form thermodynamic limit.
-discord_search: measurement-grid minimization for quantum discord.
-cq_search: classical-quantum-set minimization for trace-distance discord.
+discord_search: measurement-grid minimization for quantum discord, with
+the second qubit measured.
+cq_search: classical-quantum-set minimization for trace-distance discord,
+over states classical on the first qubit, from eight fixed starts.
 
 Each search module holds its own NumPy kernel (cond_entropy_grid,
 trace_norm_diff_batch); discord_search takes its input validation
@@ -14,9 +16,9 @@ path, and the fast path imports nothing from this package.
 from .finite_chain import (FiniteChainSpec, enumerate_reduced_state,
                            finite_chain_reduced_state, transfer_spectrum_ratio)
 from .discord_search import qd_bruteforce
-from .cq_search import tdd_bruteforce, trace_norm
+from .cq_search import tdd_bruteforce
 
 __all__ = [
     "FiniteChainSpec", "finite_chain_reduced_state", "enumerate_reduced_state",
-    "transfer_spectrum_ratio", "qd_bruteforce", "tdd_bruteforce", "trace_norm",
+    "transfer_spectrum_ratio", "qd_bruteforce", "tdd_bruteforce",
 ]

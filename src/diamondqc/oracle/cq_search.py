@@ -2,14 +2,15 @@
 
 A classical-quantum state is chi = p Pi0 x rho0 + (1-p) Pi1 x rho1 with
 (Pi0, Pi1) an orthogonal projector pair on the first qubit and rho0,
-rho1 arbitrary single-qubit states. The family is parametrized by nine
-reals: the projector axis (theta, phi), the weight p, and two Bloch
-vectors. The objective ||rho - chi||_1 is minimized by a multi-start
-coordinate pattern search; starts are seeded NumPy uniform draws over
-the parameter box plus warm starts obtained by dephasing rho along a
-deterministic lattice of measurement directions. Every intermediate
-candidate is itself a valid classical-quantum state, so the running
-best is always an upper bound on the true distance.
+rho1 arbitrary single-qubit states: the states are classical on the
+first qubit, as the closed form in measures takes them. The family is
+parametrized by nine reals: the projector axis (theta, phi), the weight
+p, and two Bloch vectors. The objective ||rho - chi||_1 is minimized by
+a coordinate pattern search from eight starts: four seeded NumPy uniform
+draws over the parameter box and four warm starts obtained by dephasing
+rho along fixed measurement axes (z, x, y and the x-z diagonal). Every
+intermediate candidate is itself a valid classical-quantum state, so the
+running best is always an upper bound on the true distance.
 
 The search carries a leading state axis: a stack of S states is searched
 in one loop, each iteration polling every active start of every state
@@ -32,6 +33,13 @@ _STEP_CASCADE = (0.35, 0.05, 0.008)
 _MIN_STEP = 1e-7
 _MAX_ITER = 400
 _DISAGREE_WARN = 1e-3
+# The warm-start measurement axes (theta, phi): z, x, y, and theta = pi/4
+# in the x-z plane. For a state with a real matrix the optimal axis lies
+# in the x-z plane (conjugation symmetry), and the local unitary
+# sigma_z x sigma_z maps phi = pi onto phi = 0; the y axis is kept for
+# inputs with complex off-diagonal entries.
+_WARM_AXES = np.array([[0.0, 0.0], [0.5 * np.pi, 0.0],
+                       [0.5 * np.pi, 0.5 * np.pi], [0.25 * np.pi, 0.0]])
 
 
 def _project_batch(x: np.ndarray) -> np.ndarray:
@@ -82,19 +90,6 @@ def _chi_batch(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(chi.reshape(k, 4, 4))
 
 
-def trace_norm(delta) -> float:
-    """Schatten 1-norm of a Hermitian matrix: sum of |eigenvalues|.
-
-    Rejects non-Hermitian input (tolerance 1e-12 on the max entry).
-    """
-    m = np.asarray(delta)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-12:
-        raise ValueError("matrix is not Hermitian")
-    return float(np.abs(np.linalg.eigvalsh(m)).sum())
-
-
 def trace_norm_diff_batch(rho: np.ndarray, chis: np.ndarray) -> np.ndarray:
     """Schatten 1-norms ||rho - chis[k]||_1 for a stack of N Hermitian 4x4
     chis, in one eigen-solve. rho is one 4x4 matrix shared by every chi,
@@ -102,31 +97,6 @@ def trace_norm_diff_batch(rho: np.ndarray, chis: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     chis = np.asarray(chis, dtype=complex).reshape(-1, 4, 4)
     return np.abs(np.linalg.eigvalsh(rho - chis)).sum(axis=-1)
-
-
-def _vdc(k: int) -> float:
-    """Van der Corput radical inverse in base 2 (progressive refinement)."""
-    v, denom = 0.0, 1.0
-    while k:
-        denom *= 2.0
-        v += (k & 1) / denom
-        k >>= 1
-    return v
-
-
-def _measurement_directions(n_dirs: int) -> list:
-    """The coordinate axes, then a progressively refining fan of polar
-    angles in the x-z plane. For a state with a real matrix the optimal
-    measurement axis lies in that plane (conjugation symmetry), and the
-    local unitary sigma_z x sigma_z maps phi = pi onto phi = 0, so the
-    fan only needs theta in (0, pi) at phi = 0. The y axis is kept for
-    inputs with complex off-diagonal entries."""
-    dirs = [(0.0, 0.0), (0.5 * np.pi, 0.0), (0.5 * np.pi, 0.5 * np.pi)]
-    k = 2  # _vdc(1) = 1/2 duplicates the x axis already present
-    while len(dirs) < n_dirs:
-        dirs.append((np.pi * _vdc(k), 0.0))
-        k += 1
-    return dirs[:n_dirs]
 
 
 def _dephase_batch(rho4: np.ndarray, thetas: np.ndarray,
@@ -236,7 +206,7 @@ def _density_matrix(rho) -> np.ndarray:
     return m
 
 
-def tdd_bruteforce(rho, n_starts: int = 12, seed: int = 0):
+def tdd_bruteforce(rho, seed: int = 0):
     """Minimal trace distance from rho to the classical-quantum set.
 
     rho is one state (a DimerDensityMatrix or a 4x4 array), for which a
@@ -246,30 +216,26 @@ def tdd_bruteforce(rho, n_starts: int = 12, seed: int = 0):
     of a call on the state alone. Every state is validated, and the
     first invalid one raises the ValueError a call on it alone raises.
 
-    The starts of each state are the state dephased along n_starts // 2
-    measurement axes, topped up to n_starts with uniform draws over the
-    parameter box from `numpy.random.default_rng(seed)` (the same draws
-    for every state). Deterministic for fixed (n_starts, seed);
-    n_starts >= 8 required.
+    Each state is searched from eight starts: the state dephased along
+    the four `_WARM_AXES`, and four uniform draws over the parameter box
+    from `numpy.random.default_rng(seed)` (the same draws for every
+    state). Deterministic for a fixed seed.
     Warns, once per state, if a state's two best starts disagree by more
     than 1e-3 (possible non-convergence).
     """
-    if n_starts < 8:
-        raise ValueError(f"n_starts must be >= 8, got {n_starts}")
     single = (isinstance(rho, DimerDensityMatrix) or not np.iterable(rho)
               or (len(rho) > 0 and np.ndim(rho[0]) == 1))
     ms = np.array([_density_matrix(r) for r in ([rho] if single else rho)],
                   dtype=complex).reshape(-1, 4, 4)
     n_states = ms.shape[0]
 
-    dirs = np.array(_measurement_directions(n_starts // 2))
-    u = np.random.default_rng(seed).random((n_starts - dirs.shape[0], 9))
+    u = np.random.default_rng(seed).random((4, 9))
     lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
     hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
     warm = _dephase_batch(ms.reshape(-1, 2, 2, 2, 2),
-                          np.broadcast_to(dirs[:, 0], (n_states, dirs.shape[0])),
-                          np.broadcast_to(dirs[:, 1], (n_states, dirs.shape[0])))
-    uniform = np.broadcast_to(lo + (hi - lo) * u, (n_states,) + u.shape)
+                          np.broadcast_to(_WARM_AXES[:, 0], (n_states, 4)),
+                          np.broadcast_to(_WARM_AXES[:, 1], (n_states, 4)))
+    uniform = np.broadcast_to(lo + (hi - lo) * u, (n_states, 4, 9))
     starts = np.concatenate([warm, uniform], axis=1)
 
     finals = np.sort(_pattern_search_batch(ms, starts), axis=1)

@@ -102,11 +102,11 @@ class DimerDensityMatrix:
         object.__setattr__(self, "psd_flag", bool(self.min_eig >= self.PSD_TOL))
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, atol: float = 1e-12) -> "DimerDensityMatrix":
+    def from_matrix(cls, m: np.ndarray) -> "DimerDensityMatrix":
         """Validate and convert a 4x4 array with X structure.
 
         Rejects non-Hermitian input, any entry off the diagonal and
-        anti-diagonal larger than atol, and trace deviating from 1 by
+        anti-diagonal larger than 1e-12, and trace deviating from 1 by
         more than 1e-9. Off-diagonal phases are dropped (their absolute
         values are stored): all supported measures are invariant under
         the local phase rotations that remove them.
@@ -120,7 +120,7 @@ class DimerDensityMatrix:
         mask[np.arange(4), np.arange(4)] = True
         mask[0, 3] = mask[3, 0] = mask[1, 2] = mask[2, 1] = True
         off = np.abs(m[~mask]).max() if (~mask).any() else 0.0
-        if off > atol:
+        if off > 1e-12:
             raise ValueError(f"matrix is not X-structured: off-pattern magnitude {off:.3e}")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > 1e-9:
@@ -128,7 +128,7 @@ class DimerDensityMatrix:
         diag = np.real(np.diag(m))
         r14 = m[0, 3]
         r23 = m[1, 2]
-        to_real = lambda v: float(np.real(v)) if abs(np.imag(v)) <= atol else float(np.abs(v))
+        to_real = lambda v: float(np.real(v)) if abs(np.imag(v)) <= 1e-12 else float(np.abs(v))
         return cls(float(diag[0]), float(diag[1]), float(diag[2]), float(diag[3]),
                    to_real(r14), to_real(r23))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .measures import x_state_measures
-from .model import thermal_entries_grid
+from .model import check_beta_energy, thermal_entries_grid
 from .params import DimerDensityMatrix
 
 PARAM_NAMES = ("J0_over_J", "T_over_J", "h_over_J", "gamma", "Jz_over_J")
@@ -282,6 +282,14 @@ class SweepSpec:
         t_grid = self.parameter_grid("T_over_J")
         if np.min(t_grid) <= 0.0:
             raise SweepConfigError("T_over_J <= 0 in grid")
+        # The overflow scale grows with each |coupling| and with 1 / T, so the
+        # grid's worst point pairs the largest magnitudes with the smallest T.
+        worst = [np.max(np.abs(self.parameter_grid(name))) for name in PARAM_NAMES]
+        worst[1] = np.min(t_grid)
+        try:
+            check_beta_energy(*worst)
+        except ValueError as exc:
+            raise SweepConfigError(str(exc)) from None
         return self
 
     def parameter_grid(self, name: str) -> np.ndarray:
@@ -291,12 +299,6 @@ class SweepSpec:
         if name in self.fixed:
             return np.array([float(self.fixed[name])])
         raise SweepConfigError(f"parameter {name!r} is neither fixed nor an axis")
-
-    def n_rows(self) -> int:
-        n = 1
-        for ax in self.axes:
-            n *= ax.n_points
-        return n
 
 
 @dataclass
@@ -415,8 +417,8 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
         states = [DimerDensityMatrix(*(float(e[i]) for e in entries))
                   for i in range(idxs.size)]
         tdd, qd = _search_states(
-            states, lambda part: tdd_bruteforce(part, n_starts=8, seed=seed),
-            lambda part: [qd_bruteforce(s, n_grid=24, n_refine=6) for s in part])
+            states, lambda part: tdd_bruteforce(part, seed=seed),
+            lambda part: [qd_bruteforce(s) for s in part])
         qd_res = np.abs(table[idxs, 0] - qd)
         tdd_res = np.abs(table[idxs, 1] - tdd)
         diagnostics["oracle"] = [(idx, float(a), float(b)) for idx, a, b

@@ -75,8 +75,19 @@ class TestPoint:
         assert got["concurrence"] >= 0.0
 
     def test_non_positive_temperature(self, capsys):
-        assert main(["point", "--T", "0"]) == 1
-        assert "T must be positive" in capsys.readouterr().err
+        # ThermalPoint makes the one temperature check, for every bad value.
+        for t in ("0", "-1", "nan", "inf"):
+            assert main(["point", "--T", t]) == 1
+            assert (f"error: temperature must be finite and positive, got {float(t)}\n"
+                    == capsys.readouterr().err)
+
+    @pytest.mark.parametrize("args", [["--T", "1e-300", "--h", "1e10"],
+                                      ["--T", "5e-324"]])
+    def test_overflowing_temperature_is_refused(self, args, capsys):
+        # beta * energy would overflow to inf and the state to nan.
+        assert main(["point"] + args) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: beta * energy overflows float64 at T/J = ")
 
     def test_missing_temperature(self):
         with pytest.raises(SystemExit) as exc:
@@ -102,6 +113,21 @@ class TestSweep:
         out = tmp_path / "line.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert "wrote 4 rows" in capsys.readouterr().err
+
+    def test_overflowing_grid_is_refused_before_evaluation(self, tmp_path, capsys):
+        # The corner h/J = 1e10, T/J = 1e-300 would overflow beta * energy;
+        # the spec is refused before any row is evaluated or forked.
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(
+            "[fixed]\ngamma = 0\nJ0_over_J = 0\nJz_over_J = 0\n"
+            "[axis1]\nname = h_over_J\nvalues = 0 1e10\n"
+            "[axis2]\nname = T_over_J\nvalues = 1e-300 0.5\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: beta * energy overflows float64 at T/J = 1e-300 with "
+            "J0/J = 0, h/J = 1e+10, gamma = 0, Jz/J = 0\n")
+        assert not out.exists()
 
     def test_points_requires_preset(self, tmp_path, capsys):
         cfg = tmp_path / "s.ini"

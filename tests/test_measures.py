@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
-from diamondqc.oracle.cq_search import tdd_bruteforce
+from diamondqc.oracle import qd_bruteforce, tdd_bruteforce
 from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
 
 BELL = DimerDensityMatrix(r11=0.5, r22=0.0, r33=0.0, r44=0.5, r14=0.5, r23=0.0)
@@ -87,6 +87,36 @@ class TestKnownStates:
         assert rep.tdd > 1e-3
 
 
+def asymmetric_x_states(n, seed):
+    """n random X states with r22 != r33: Dirichlet diagonals, coherences
+    within 0.98 of their PSD bounds."""
+    rng = np.random.default_rng(seed)
+    diag = rng.dirichlet(np.ones(4), n)
+    f14, f23 = rng.uniform(-0.98, 0.98, (2, n))
+    return [DimerDensityMatrix(r11, r22, r33, r44, a * np.sqrt(r11 * r44),
+                               b * np.sqrt(r22 * r33))
+            for (r11, r22, r33, r44), a, b in zip(diag.tolist(), f14, f23)]
+
+
+class TestAsymmetricDiscord:
+    # The closed form measures the second qubit, as the search does; with
+    # r22 != r33 the first qubit's entropy and (r11 - r44) alone gave
+    # qd = -0.0478 and -0.223 on the two witnesses.
+    WITNESSES = [DimerDensityMatrix(0.3, 0.1, 0.4, 0.2, 0.1, 0.15),
+                 DimerDensityMatrix(0.4, 0.05, 0.35, 0.2, 0.05, 0.1)]
+
+    def test_witnesses(self):
+        for s, want in zip(self.WITNESSES, (0.0419, 0.1152)):
+            assert correlation_report(s).qd == pytest.approx(want, abs=1e-4)
+
+    def test_never_below_search(self):
+        states = self.WITNESSES + asymmetric_x_states(300, seed=23)
+        for s in states:
+            qd = correlation_report(s).qd
+            assert qd >= 0.0
+            assert qd >= qd_bruteforce(s, 32, 10) - 1e-9
+
+
 class TestScalarWrappers:
     def test_qd_branches(self):
         rep = correlation_report(thermal_state(CAL_PARAMS, CAL_TP))
@@ -156,7 +186,7 @@ class TestVectorized:
         # scales with 1/T is not degenerate: tdd ~ 2e-8 here, |g1| = 4e-8.
         states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
                                     ThermalPoint(1e7)))
-        searched = tdd_bruteforce(states, n_starts=8, seed=0)
+        searched = tdd_bruteforce(states, seed=0)
         for s, search in zip(states, searched, strict=True):
             assert correlation_report(s).tdd == pytest.approx(search, abs=1e-9)
 

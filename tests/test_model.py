@@ -1,4 +1,7 @@
 """Tests for the closed-form thermal state and its building blocks."""
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -158,6 +161,30 @@ class TestEntriesGrid:
             r11, _, _, r44, _, _ = thermal_entries_grid(j0, t, 0.0, gamma, jz)
             assert_allclose(r11, r44, rtol=0.0, atol=1e-12,
                             err_msg=f"gamma={gamma}, Jz={jz}")
+
+    def test_rejects_overflowing_beta_energy(self):
+        # 1e10 / 1e-300 and 1 / 5e-324 overflow to inf, which would turn
+        # every entry into nan; each offending point is refused by name.
+        with pytest.raises(ValueError, match=re.escape(
+                "beta * energy overflows float64 at T/J = 1e-300 with J0/J = 0, "
+                "h/J = 1e+10, gamma = 0, Jz/J = 0")):
+            thermal_entries_grid(0.0, np.array([0.5, 1e-300]), 1e10, 0.0, 0.0)
+        with pytest.raises(ValueError, match="overflows float64 at T/J = 4.94066e-324"):
+            thermal_entries_grid(0.0, 5e-324, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t_range, scale", [
+        ((-300, -2), 1.0), ((4, 300), 1.0), ((-300, 300), 1e6), ((-150, 300), 1e150)])
+    def test_extreme_regions_are_accepted_and_finite(self, t_range, scale):
+        # Cold, hot and strongly coupled draws stay below the overflow
+        # bound: none is refused, and every entry is finite with trace 1.
+        rng = np.random.default_rng(17)
+        t = 10.0 ** rng.uniform(*t_range, 20000)
+        j0, h, gamma, jz = rng.uniform(-scale, scale, (4, t.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = thermal_entries_grid(j0, t, h, gamma, jz)
+        assert all(np.isfinite(e).all() for e in entries)
+        assert_allclose(sum(entries[:4]), 1.0, rtol=0.0, atol=1e-14)
 
     def test_extreme_temperatures_stay_finite(self):
         entries = thermal_entries_grid(

@@ -7,8 +7,7 @@ from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
 from diamondqc.oracle import (FiniteChainSpec, enumerate_reduced_state,
                               finite_chain_reduced_state, qd_bruteforce,
-                              tdd_bruteforce, trace_norm,
-                              transfer_spectrum_ratio)
+                              tdd_bruteforce, transfer_spectrum_ratio)
 from diamondqc.oracle.cq_search import (_chi_batch, _project_batch,
                                         trace_norm_diff_batch)
 from diamondqc.oracle.discord_search import cond_entropy_grid
@@ -107,22 +106,6 @@ class TestKernels:
             assert_allclose(got[k], want, rtol=1e-13, atol=1e-13)
 
 
-class TestTraceNorm:
-    def test_known_values(self):
-        assert trace_norm(np.zeros((3, 3))) == 0.0
-        assert trace_norm(np.diag([1.0, -1.0, 0.0, 0.0])) == \
-            pytest.approx(2.0, abs=1e-12)
-        assert trace_norm(BELL - MIXED) == pytest.approx(1.5, abs=1e-12)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            trace_norm(np.ones((2, 3)))
-        m = np.zeros((2, 2))
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            trace_norm(m)
-
-
 class TestProjectiveSearch:
     def test_bell_state(self):
         assert qd_bruteforce(BELL) == pytest.approx(1.0, abs=1e-9)
@@ -205,20 +188,19 @@ class TestMeasuredStateSearch:
         for t in (0.2, 0.5, 1.5):
             s = thermal_state(CAL_PARAMS, ThermalPoint(t))
             rep = correlation_report(s)
-            got = tdd_bruteforce(s.matrix(), n_starts=8, seed=0)
+            got = tdd_bruteforce(s.matrix(), seed=0)
             assert got >= rep.tdd - 1e-9
             assert got == pytest.approx(rep.tdd, abs=1e-6)
 
     def test_deterministic(self):
         s = thermal_state(CAL_PARAMS, CAL_TP).matrix()
-        a = tdd_bruteforce(s, n_starts=8, seed=3)
-        b = tdd_bruteforce(s, n_starts=8, seed=3)
+        a = tdd_bruteforce(s, seed=3)
+        b = tdd_bruteforce(s, seed=3)
         assert a == b
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="n_starts"):
-            tdd_bruteforce(MIXED, n_starts=7)
-        with pytest.raises(ValueError):
+        # rho is the only argument that is checked.
+        with pytest.raises(ValueError, match="trace 4 deviates"):
             tdd_bruteforce(np.eye(4))
 
     @pytest.mark.parametrize("state, match", [
@@ -289,7 +271,7 @@ def searched_alone():
     states = (cold_box_spot_check_states() + degenerate_tdd_states()
               + h_scan_states())
     assert len(states) == 55
-    return states, [tdd_bruteforce(s, n_starts=8, seed=0) for s in states]
+    return states, [tdd_bruteforce(s, seed=0) for s in states]
 
 
 class TestBatchedSearch:
@@ -297,7 +279,7 @@ class TestBatchedSearch:
     # start, so every value must equal the lone search's exactly.
     def test_stack_equals_states_alone(self, searched_alone):
         states, alone = searched_alone
-        got = tdd_bruteforce(states, n_starts=8, seed=0)
+        got = tdd_bruteforce(states, seed=0)
         assert isinstance(got, np.ndarray) and got.shape == (55,)
         assert got.tolist() == alone
 
@@ -306,12 +288,12 @@ class TestBatchedSearch:
         picked = states[:7] + states[45:]  # the cold-box and h-scan states
         want = alone[:7] + alone[45:]
         matrices = np.stack([s.matrix() for s in picked[::-1]])
-        got = tdd_bruteforce(matrices, n_starts=8, seed=0)
+        got = tdd_bruteforce(matrices, seed=0)
         assert got.tolist() == want[::-1]
 
     def test_one_element_stack_equals_scalar_call(self, searched_alone):
         states, alone = searched_alone
-        got = tdd_bruteforce([states[0]], n_starts=8, seed=0)
+        got = tdd_bruteforce([states[0]], seed=0)
         assert got.shape == (1,)
         assert got[0] == alone[0]
         assert isinstance(alone[0], float)

@@ -1,5 +1,6 @@
 """Tests for the package's public surface."""
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -24,7 +25,38 @@ def test_public_surface_is_frozen():
         "x_state_measures"]
     assert sorted(diamondqc.oracle.__all__) == [
         "FiniteChainSpec", "enumerate_reduced_state", "finite_chain_reduced_state",
-        "qd_bruteforce", "tdd_bruteforce", "trace_norm", "transfer_spectrum_ratio"]
+        "qd_bruteforce", "tdd_bruteforce", "transfer_spectrum_ratio"]
+    # So must adding or removing a parameter of an exported callable.
+    signatures = {f"{mod.__name__}.{name}": list(inspect.signature(obj).parameters)
+                  for mod in (diamondqc, diamondqc.oracle)
+                  for name, obj in ((n, getattr(mod, n)) for n in mod.__all__)
+                  if callable(obj)}
+    signatures["DimerDensityMatrix.from_matrix"] = list(
+        inspect.signature(diamondqc.DimerDensityMatrix.from_matrix).parameters)
+    entries = ["r11", "r22", "r33", "r44", "r14", "r23"]
+    chain = ["spec"]
+    assert signatures == {
+        "diamondqc.Axis": ["name", "start", "stop", "n_points", "spacing", "values"],
+        "diamondqc.DimerDensityMatrix": entries,
+        "diamondqc.ModelParams": ["gamma", "jz", "j0", "h"],
+        "diamondqc.SweepSpec": ["fixed", "axes", "oracle_check"],
+        "diamondqc.ThermalPoint": ["t"],
+        "diamondqc.correlation_report": ["rho"],
+        "diamondqc.count_peaks": ["series", "prominence"],
+        "diamondqc.emit_csv": ["result", "path"],
+        "diamondqc.figure_preset": ["name", "n_points"],
+        "diamondqc.run_sweep": ["spec", "seed", "label"],
+        "diamondqc.thermal_entries_grid": ["j0", "t", "h", "gamma", "jz"],
+        "diamondqc.thermal_state": ["params", "tp"],
+        "diamondqc.x_state_measures": entries,
+        "diamondqc.oracle.FiniteChainSpec": ["n_cells", "params", "tp"],
+        "diamondqc.oracle.enumerate_reduced_state": chain,
+        "diamondqc.oracle.finite_chain_reduced_state": chain,
+        "diamondqc.oracle.qd_bruteforce": ["rho", "n_grid", "n_refine"],
+        "diamondqc.oracle.tdd_bruteforce": ["rho", "seed"],
+        "diamondqc.oracle.transfer_spectrum_ratio": chain,
+        "DimerDensityMatrix.from_matrix": ["m"],
+    }
 
 
 def test_oracles_import_nothing_from_the_fast_path():

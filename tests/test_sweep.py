@@ -169,6 +169,19 @@ class TestSweepSpecValidation:
                       axes=(Axis("T_over_J", -0.5, 1.0, 4),)).validate()
 
 
+    def test_overflowing_grid_corner(self):
+        # Neither grid point (1e10, 0.5) nor (0, 1e-300) overflows, but the
+        # corner (1e10, 1e-300) does, so the spec is refused.
+        fixed = {"gamma": 0.0, "J0_over_J": 0.0, "Jz_over_J": 0.0}
+        axes = (Axis.from_values("h_over_J", (0.0, 1e10)),
+                Axis.from_values("T_over_J", (1e-300, 0.5)))
+        with pytest.raises(SweepConfigError, match=re.escape(
+                "overflows float64 at T/J = 1e-300 with J0/J = 0, h/J = 1e+10")):
+            SweepSpec(fixed=fixed, axes=axes).validate()
+        SweepSpec(fixed=dict(fixed, T_over_J=0.5), axes=axes[:1]).validate()
+        SweepSpec(fixed=dict(fixed, h_over_J=0.0), axes=axes[1:]).validate()
+
+
 class TestPresets:
     # fixed parameters and axis layout for every named preset
     CASES = {
