@@ -81,7 +81,6 @@ def _cmd_sweep(args) -> int:
             label = None
         if args.oracle_every is not None:
             spec = with_oracle_check(spec, args.oracle_every)
-            spec.validate()
         result = run_sweep(spec, seed=args.seed, label=label)
         emit_csv(result, args.out)
     except SweepConfigError as exc:

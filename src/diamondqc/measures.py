@@ -17,7 +17,7 @@ params.x_block_eigenvalues, the spectrum DimerDensityMatrix also uses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,19 +39,11 @@ def _binary_entropy(p):
 
 
 @dataclass(frozen=True)
-class TddBranch:
-    """Intermediate quantities of the trace-distance-discord closed form."""
-    g1: float
-    g2: float
-    g3: float
-    xa3: float
-    gmax_sq: float
-    gmin_sq: float
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
-    """All measures of one X state, plus branch diagnostics."""
+    """All measures of one X state, with the two discord branches d1 and d2.
+
+    The trace-distance branch quantities (g1, g2, g3, xa3, gmax^2, gmin^2)
+    are the `tdd_*` entries of `x_state_measures`."""
     qd: float
     tdd: float
     concurrence: float
@@ -60,7 +52,6 @@ class CorrelationReport:
     entropy_a: float
     d1: float
     d2: float
-    tdd_branch: TddBranch
 
 
 def x_state_measures(r11, r22, r33, r44, r14, r23):
@@ -141,12 +132,5 @@ def correlation_report(rho) -> CorrelationReport:
     if not isinstance(rho, DimerDensityMatrix):
         rho = DimerDensityMatrix.from_matrix(np.asarray(rho))
     x = rho.validate()
-    m = {k: float(v) for k, v in
-         x_state_measures(x.r11, x.r22, x.r33, x.r44, x.r14, x.r23).items()}
-    branch = TddBranch(g1=m["tdd_g1"], g2=m["tdd_g2"], g3=m["tdd_g3"],
-                       xa3=m["tdd_xa3"], gmax_sq=m["tdd_gmax_sq"],
-                       gmin_sq=m["tdd_gmin_sq"])
-    return CorrelationReport(qd=m["qd"], tdd=m["tdd"], concurrence=m["concurrence"],
-                             mutual_info=m["mutual_info"], entropy_ab=m["entropy_ab"],
-                             entropy_a=m["entropy_a"], d1=m["d1"], d2=m["d2"],
-                             tdd_branch=branch)
+    m = x_state_measures(x.r11, x.r22, x.r33, x.r44, x.r14, x.r23)
+    return CorrelationReport(**{f.name: float(m[f.name]) for f in fields(CorrelationReport)})

@@ -43,14 +43,13 @@ _WARM_AXES = np.array([[0.0, 0.0], [0.5 * np.pi, 0.0],
 
 
 def _project_batch(x: np.ndarray) -> np.ndarray:
-    """Snap a (k, 9) batch of raw search vectors into the feasible set:
+    """Snap a (..., 9) batch of raw search vectors into the feasible set:
     weights clipped to [0, 1], Bloch vectors rescaled onto the unit ball."""
-    x = np.asarray(x, dtype=float).copy()
-    x[:, 2] = np.clip(x[:, 2], 0.0, 1.0)
-    for sl in (slice(3, 6), slice(6, 9)):
-        r = np.linalg.norm(x[:, sl], axis=1)
-        scale = np.where(r > 1.0, r, 1.0)
-        x[:, sl] /= scale[:, None]
+    x = np.array(x, dtype=float)
+    x[..., 2] = np.clip(x[..., 2], 0.0, 1.0)
+    bloch = x[..., 3:].reshape(x.shape[:-1] + (2, 3))
+    r = np.linalg.norm(bloch, axis=-1)
+    x[..., 3:] = (bloch / np.where(r > 1.0, r, 1.0)[..., None]).reshape(x.shape[:-1] + (6,))
     return x
 
 
@@ -69,34 +68,33 @@ def _projectors(thetas: np.ndarray, phis: np.ndarray):
 
 
 def _chi_batch(vectors: np.ndarray) -> np.ndarray:
-    """The 4x4 classical-quantum states of a (k, 9) batch of feasible
-    parameter vectors (theta, phi, p, bloch0, bloch1): shape (k, 4, 4)."""
+    """The 4x4 classical-quantum states of a (..., 9) batch of feasible
+    parameter vectors (theta, phi, p, bloch0, bloch1): shape (..., 4, 4)."""
     v = np.asarray(vectors, dtype=float)
-    k = v.shape[0]
-    pi0, pi1 = _projectors(v[:, 0], v[:, 1])
+    pi0, pi1 = _projectors(v[..., 0], v[..., 1])
 
     def qubit(bloch):
-        q = np.empty((k, 2, 2), dtype=complex)
-        q[:, 0, 0] = 0.5 * (1.0 + bloch[:, 2])
-        q[:, 0, 1] = 0.5 * (bloch[:, 0] - 1j * bloch[:, 1])
-        q[:, 1, 0] = 0.5 * (bloch[:, 0] + 1j * bloch[:, 1])
-        q[:, 1, 1] = 0.5 * (1.0 - bloch[:, 2])
+        q = np.empty(bloch.shape[:-1] + (2, 2), dtype=complex)
+        q[..., 0, 0] = 0.5 * (1.0 + bloch[..., 2])
+        q[..., 0, 1] = 0.5 * (bloch[..., 0] - 1j * bloch[..., 1])
+        q[..., 1, 0] = 0.5 * (bloch[..., 0] + 1j * bloch[..., 1])
+        q[..., 1, 1] = 0.5 * (1.0 - bloch[..., 2])
         return q
 
-    q0, q1 = qubit(v[:, 3:6]), qubit(v[:, 6:9])
-    p = v[:, 2]
-    chi = (np.einsum("k,kab,kcd->kacbd", p, pi0, q0)
-           + np.einsum("k,kab,kcd->kacbd", 1.0 - p, pi1, q1))
-    return np.ascontiguousarray(chi.reshape(k, 4, 4))
+    q0, q1 = qubit(v[..., 3:6]), qubit(v[..., 6:9])
+    p = v[..., 2]
+    chi = (np.einsum("...,...ab,...cd->...acbd", p, pi0, q0)
+           + np.einsum("...,...ab,...cd->...acbd", 1.0 - p, pi1, q1))
+    return chi.reshape(v.shape[:-1] + (4, 4))
 
 
 def trace_norm_diff_batch(rho: np.ndarray, chis: np.ndarray) -> np.ndarray:
-    """Schatten 1-norms ||rho - chis[k]||_1 for a stack of N Hermitian 4x4
-    chis, in one eigen-solve. rho is one 4x4 matrix shared by every chi,
-    or a (N, 4, 4) stack holding the matrix each chi is compared with."""
-    rho = np.asarray(rho, dtype=complex)
-    chis = np.asarray(chis, dtype=complex).reshape(-1, 4, 4)
-    return np.abs(np.linalg.eigvalsh(rho - chis)).sum(axis=-1)
+    """Schatten 1-norms ||rho - chi||_1 of Hermitian 4x4 matrices, in one
+    eigen-solve. rho and chis are (..., 4, 4) stacks whose leading axes
+    broadcast: one rho against N chis, or an (S, 1, 4, 4) stack of states
+    against their (S, k, 4, 4) candidates. Returns the broadcast leading
+    shape."""
+    return np.abs(np.linalg.eigvalsh(np.subtract(rho, chis))).sum(axis=-1)
 
 
 def _dephase_batch(rho4: np.ndarray, thetas: np.ndarray,
@@ -155,6 +153,7 @@ def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
     owner = np.repeat(np.arange(n_states), k)
     xs = _project_batch(x0s.reshape(-1, 9))
     fs = trace_norm_diff_batch(ms[owner], _chi_batch(xs))
+    poll = np.arange(18)  # candidate 2i moves coordinate i up, 2i + 1 down
     for init_step in _STEP_CASCADE:
         steps = np.full(xs.shape[0], init_step)
         for _ in range(_MAX_ITER):
@@ -164,22 +163,19 @@ def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
             m = ms[owner[active]]
             st = steps[active]
             cands = np.repeat(xs[active][:, None, :], 22, axis=1)
-            for i in range(9):
-                cands[:, 2 * i, i] += st
-                cands[:, 2 * i + 1, i] -= st
+            cands[:, poll, poll // 2] += np.outer(st, 1 - 2 * (poll % 2))
             th, ph = xs[active, 0], xs[active, 1]
             cands[:, 18:, :] = _dephase_batch(
                 m.reshape(-1, 2, 2, 2, 2),
                 np.stack([th + st, th - st, th, th], axis=1),
                 np.stack([ph, ph, ph + st, ph - st], axis=1))
-            flat = _project_batch(cands.reshape(-1, 9))
-            vals = trace_norm_diff_batch(np.repeat(m, 22, axis=0),
-                                         _chi_batch(flat)).reshape(active.size, 22)
+            cands = _project_batch(cands)
+            vals = trace_norm_diff_batch(m[:, None], _chi_batch(cands))
             best_k = np.argmin(vals, axis=1)
             best_v = vals[np.arange(active.size), best_k]
             improved = best_v < fs[active] - 1e-15
             moved = active[improved]
-            xs[moved] = flat.reshape(active.size, 22, 9)[improved, best_k[improved]]
+            xs[moved] = cands[improved, best_k[improved]]
             fs[moved] = best_v[improved]
             steps[active[~improved]] *= 0.5
     return fs.reshape(n_states, k)

@@ -394,9 +394,12 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     state's search value is that of a search over it alone, so the
     diagnostics and the CSV bytes do not depend on the core count either.
     Each PSD violation is recorded in the diagnostics but the offending
-    row is still reported.
+    row is still reported. A negative seed is refused, as the oracle's
+    random generator would refuse it.
     """
     spec.validate()
+    if int(seed) < 0:
+        raise SweepConfigError(f"seed must be >= 0, got {seed}")
     coords = grid_coords(spec)
     n = coords.shape[0]
     width = len(_TABLE_KEYS)

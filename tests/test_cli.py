@@ -150,6 +150,22 @@ class TestSweep:
         assert "n_points must be >= 2, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        # A negative seed is refused whether or not spot checks would draw
+        # from it, before anything is evaluated or forked.
+        (["--points", "4", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--points", "4", "--oracle-every", "3", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["--oracle-every", "0"], "oracle_check must be >= 1, got 0"),
+    ])
+    def test_bad_seed_or_spot_check_step_is_refused(self, args, message,
+                                                    tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--preset", "fig4a", *args, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_preset(self, capsys):
         code = main(["sweep", "--preset", "fig9", "--out", "/tmp/x.csv"])
         assert code == 1

@@ -117,6 +117,18 @@ class TestAsymmetricDiscord:
             assert qd >= qd_bruteforce(s, 32, 10) - 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason="known fault F1: qd = min(d1, d2) "
+                   "misses an optimal measurement angle strictly between z "
+                   "and the transverse plane")
+def test_qd_not_above_search_at_interior_angle_witness():
+    # The closed form gives 0.236689434181 here and the search
+    # 0.236242485791, 4.47e-4 lower. An interior-angle branch of the
+    # closed form makes this pass, and must then drop the mark.
+    s = thermal_state(ModelParams(gamma=0.95, jz=0.0, j0=-0.66, h=0.27),
+                      ThermalPoint(0.2279))
+    assert correlation_report(s).qd <= qd_bruteforce(s, n_grid=96, n_refine=20) + 1e-9
+
+
 class TestScalarWrappers:
     def test_qd_branches(self):
         rep = correlation_report(thermal_state(CAL_PARAMS, CAL_TP))

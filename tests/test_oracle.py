@@ -291,6 +291,24 @@ class TestBatchedSearch:
         got = tdd_bruteforce(matrices, seed=0)
         assert got.tolist() == want[::-1]
 
+    def test_values_are_frozen(self, searched_alone):
+        # The search's exact bits on the cold-box spot checks and the h-scan
+        # states. A rewrite of the search loop that keeps every entry's
+        # arithmetic keeps these; a change of starts or polls may move them,
+        # and must then say so.
+        _, alone = searched_alone
+        assert [v.hex() for v in alone[:7]] == [
+            "0x1.0000000000000p-52", "0x1.0000000000000p-52",
+            "0x1.00f980454289ep-52", "0x1.ee374aa4eca77p-1",
+            "0x1.434ace3b0528cp-8", "0x1.0000000000000p-52",
+            "0x1.0000000000000p-52"]
+        assert [v.hex() for v in alone[45:]] == [
+            "0x1.6fd5aa2edbd96p-3", "0x1.924cae7d00b78p-2",
+            "0x1.f120b7e27111cp-3", "0x1.2cc435f2e54f8p-3",
+            "0x1.0a303d7ae3558p-2", "0x1.b8f005cccb76ap-4",
+            "0x1.f657b7c569ad6p-3", "0x1.7f511dcfe1af9p-4",
+            "0x1.985df17126f2ap-3", "0x1.271530b582e76p-4"]
+
     def test_one_element_stack_equals_scalar_call(self, searched_alone):
         states, alone = searched_alone
         got = tdd_bruteforce([states[0]], seed=0)

@@ -17,9 +17,9 @@ import diamondqc
 import diamondqc.oracle
 from diamondqc import sweep
 from diamondqc.cli import main as cli_main
-from diamondqc.measures import correlation_report, x_state_measures
-from diamondqc.model import thermal_entries_grid, thermal_state
-from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
+from diamondqc.measures import x_state_measures
+from diamondqc.model import thermal_entries_grid
+from diamondqc.params import DimerDensityMatrix
 from diamondqc.sweep import (_CHUNK_SIZE, _CSV_BLOCK, CSV_COLUMNS,
                              DEFAULT_PROMINENCE, MEASURE_NAMES, PARAM_NAMES,
                              PRESET_NAMES, T_AXIS_FLOOR, Axis,
@@ -287,10 +287,10 @@ class TestRunSweep:
         # reach for the brute-force oracles.
         fixed = {"J0_over_J": 0.0, "h_over_J": 0.0, "gamma": 0.0, "Jz_over_J": 0.0}
         temps = (0.002, 0.0152)
-        for t in temps:
-            state = thermal_state(ModelParams(), ThermalPoint(t))
-            b = correlation_report(state).tdd_branch
-            assert abs(b.gmax_sq - b.gmin_sq + b.g1 ** 2 - b.g2 ** 2) < 1e-12
+        out = x_state_measures(*thermal_entries_grid(0.0, np.array(temps), 0.0, 0.0, 0.0))
+        den = (out["tdd_gmax_sq"] - out["tdd_gmin_sq"]
+               + out["tdd_g1"] ** 2 - out["tdd_g2"] ** 2)
+        assert np.all(np.abs(den) < 1e-12)
         script = (
             "import sys\n"
             "from diamondqc.sweep import Axis, SweepSpec, run_sweep\n"
