@@ -10,7 +10,6 @@ axis order, so the bytes do not depend on the core count.
 """
 from __future__ import annotations
 
-import configparser
 import mmap
 import os
 from dataclasses import dataclass, field, replace
@@ -699,6 +698,8 @@ _AXIS_KEYS = ("name", "start", "stop", "n_points", "spacing", "values")
 def read_sweep_config(path) -> SweepSpec:
     """Parse a flat key-value config file with [sweep]/[fixed]/[axis1]/[axis2]
     sections into a validated SweepSpec."""
+    import configparser  # here, so that preset sweeps do not import it
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:

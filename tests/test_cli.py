@@ -18,6 +18,22 @@ POINT_ARGS = ["point", "--gamma", "0.6", "--Jz", "0.3",
               "--J0", "0.3", "--h", "0.35", "--T", "0.5"]
 
 
+CLI = ["-m", "diamondqc.cli"]
+
+
+def run_python(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """`python ARGV` in a child; its stdout is block-buffered, as in a shell
+    pipeline, unless `unbuffered`."""
+    src = os.path.dirname(os.path.dirname(diamondqc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
 def parse_point_output(text):
     out = {}
     for line in text.strip().splitlines():
@@ -186,17 +202,15 @@ class TestSweep:
     def test_out_may_be_a_pipe(self, tmp_path):
         # The forked writers' rows are appended to the output by sendfile,
         # which also writes to a pipe; the status line goes to stderr, so
-        # the piped stream is the CSV alone.
-        out = tmp_path / "fig2a.csv"
-        args = [sys.executable, "-m", "diamondqc.cli", "sweep", "--preset", "fig2a"]
-        src = os.path.dirname(os.path.dirname(diamondqc.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        piped = subprocess.run(args + ["--out", "/dev/stdout"], env=env,
-                               capture_output=True, check=True)
-        subprocess.run(args + ["--out", str(out)], env=env, capture_output=True,
-                       check=True)
-        assert piped.stdout == out.read_bytes()
+        # the piped stream is the CSV alone. A process that leaves without
+        # teardown writes the bytes that main() writes in-process.
+        out, ref = tmp_path / "fig2a.csv", tmp_path / "ref.csv"
+        args = ["sweep", "--preset", "fig2a", "--out"]
+        piped = run_python(CLI + args + ["/dev/stdout"])
+        to_file = run_python(CLI + args + [str(out)])
+        assert (piped.returncode, to_file.returncode) == (0, 0)
+        assert main(args + [str(ref)]) == 0
+        assert piped.stdout == out.read_bytes() == ref.read_bytes()
         assert piped.stderr == b"wrote 40401 rows to /dev/stdout\n"
 
     def test_seed_flag_reproducible(self, tmp_path):
@@ -233,6 +247,48 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "everything"])
         assert exc.value.code == 1
+
+
+class TestProcessEntry:
+    """The module entry leaves through os._exit once its output is flushed;
+    what a caller sees must not change."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["sweep", "--preset", "fig4a", "--points", "3", "--out", "{tmp}/x.csv"], 0),
+        (["sweep", "--preset", "nope", "--out", "{tmp}/x.csv"], 1),
+        (["point"], 1),
+        (["verify", "--suite", "figures"], 2),
+        (["sweep", "--preset", "fig4a", "--out", "{tmp}/no_dir/x.csv"], 3),
+    ])
+    def test_exit_code_reaches_the_caller(self, args, code, tmp_path):
+        done = run_python(CLI + [a.format(tmp=tmp_path) for a in args])
+        assert done.returncode == code, done.stderr
+        if args[0] == "verify":
+            lines = done.stdout.decode().splitlines()
+            assert lines[-1] == "2 check(s) failed"
+            assert sum(line.startswith("FAIL ") for line in lines) == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("args", [["point", "--T", "0.5"],
+                                      ["verify", "--suite", "psd"]])
+    def test_closed_stdout_is_an_io_error(self, args, unbuffered):
+        # Block-buffered, the write first fails at the entry's flush;
+        # unbuffered, at the command's own write. Either way one line.
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = run_python(CLI + args, stdout=w, unbuffered=unbuffered)
+        finally:
+            os.close(w)
+        assert done.returncode == 3
+        assert done.stderr == b"error: failed to write to stdout: [Errno 32] Broken pipe\n"
+
+    def test_profiler_report_is_written(self):
+        # Under a profiler the entry exits normally, so the report is printed.
+        done = run_python(["-m", "cProfile"] + CLI + ["point", "--T", "0.5"])
+        assert done.returncode == 0
+        assert done.stdout.startswith(b"qd=0.160058462017\n")
+        assert b"function calls" in done.stdout and b"Ordered by" in done.stdout
 
 
 class TestParsing:

@@ -82,7 +82,8 @@ def test_oracles_import_nothing_from_the_fast_path():
 
 def test_nothing_imports_scipy(tmp_path):
     # NumPy is the only dependency: importing every module and running a
-    # sweep with an oracle spot check on each row leaves SciPy unloaded.
+    # sweep with an oracle spot check on each row leaves SciPy unloaded,
+    # and configparser too, which only config-file sweeps import.
     # The second sweep (66,049 rows: five chunks, 17 CSV blocks) is
     # evaluated and formatted by forked processes, which are started by
     # hand, so the slow-to-import process pool modules stay unloaded. They
@@ -97,7 +98,8 @@ def test_nothing_imports_scipy(tmp_path):
         "code += diamondqc.cli.main(['sweep', '--preset', 'fig2a', '--points', '257',\n"
         f"    '--out', {str(tmp_path / 'big.csv')!r}])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
-        "    ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))\n"
+        "    ('scipy', 'multiprocessing', 'configparser')\n"
+        "    or m.startswith('concurrent.futures')))\n"
         "sys.exit(code)\n")
     src = os.path.dirname(os.path.dirname(diamondqc.__file__))
     env = dict(os.environ)
