@@ -176,11 +176,15 @@ def entry(argv=None) -> int:
     Runs main(), flushes stdout and stderr and leaves through os._exit, as
     the forked workers of `sweep._run_ranges` do, skipping the interpreter's
     teardown (25-30 ms once NumPy is loaded); every file a command writes is
-    closed by then. An exception or SystemExit from main() propagates, and
-    while a tracer or profiler is attached the code is returned for a
-    normal exit, so that its report is written. In-process callers use
-    main()."""
-    code = main(argv)
+    closed by then. The code of a SystemExit from main() (argparse's --help
+    and usage errors) is taken as its return value, so a closed stdout is
+    reported there too. An exception from main() propagates, and while a
+    tracer or profiler is attached the code is returned for a normal exit,
+    so that its report is written. In-process callers use main()."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:

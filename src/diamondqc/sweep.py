@@ -45,23 +45,7 @@ _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
 _FIELD = 24
 _MIN_FAST = 1e-290          # below this, 10**(11 - X) would overflow
 _MAX_E = 291                # largest -X the exponent correction can reach
-
-
-def _pow10_table():
-    """10**k for each k <= 11 + `_MAX_E`, as a row of four floats: hi, the
-    correctly rounded 10**k; hi_h and hi_l, its halves of at most 26 bits
-    each (Veltkamp's split, taken at 2**-600 scale so that it cannot
-    overflow); and lo, the float nearest to 10**k - hi."""
-    ks = range(11 + _MAX_E + 1)
-    hi = np.array([float("1e%d" % k) for k in ks])
-    lo = np.array([float(10 ** k - int(h)) for k, h in zip(ks, hi.tolist())])
-    scaled = np.ldexp(hi, -600)
-    c = scaled * 134217729.0
-    hi_h = np.ldexp(c - (c - scaled), 600)
-    return np.stack([hi, hi_h, hi - hi_h, lo], axis=1)
-
-
-_POW10 = _pow10_table()
+_POW10 = np.array([float("1e%d" % k) for k in range(12 + _MAX_E)])
 
 
 def _byte_tables():
@@ -111,56 +95,32 @@ def _fmt(value: float) -> str:
     return "%.12g" % float(value)
 
 
-def _half_step(a, k, y, m):
-    """Round a * 10**k exactly where its float product y = a * hi lies in
-    the guard band, within 0.001 of the half-integer next to m = rint(y).
-
-    The exact value is y + err + a * (10**k - hi), where err, the rounding
-    error of y, is exact by Dekker's product. So d = y - m + err + a * lo
-    lies within 1.2e-16 of the exact distance from m. Returns the step
-    (-1, 0 or 1) from m to the nearest integer, and whether it is certain:
-    it is not only where |d| is within 1e-15 of 0.5, at an exact tie (such
-    as 2**-18 at 12 digits) or all but one."""
-    hi, hi_h, hi_l, lo = _POW10[k].T
-    c = a * 134217729.0
-    a_h = c - (c - a)
-    a_l = a - a_h
-    err = a_l * hi_l - (((y - a_h * hi_h) - a_l * hi_h) - a_h * hi_l)
-    d = (y - m) + err + a * lo
-    return (d > 0.5).astype(np.int64) - (d < -0.5), np.abs(np.abs(d) - 0.5) > 1e-15
-
-
 def _fmt_bytes(values: np.ndarray) -> np.ndarray:
     """"%.12g" of each float64 in `values`, as an (n, `_FIELD`) uint8 matrix
     whose row, with its NUL bytes deleted, reads exactly as `_fmt` writes it.
 
-    Zero and each 1e-290 <= |v| < 10 are formatted with array operations.
-    The decimal exponent X comes from log10, corrected by one where the
-    scaled value leaves [1e11, 1e12). Then y = |v| * 10**(11 - X), with
-    10**k the correctly rounded power, lies within 2**-52 * y < 2.3e-4 of
-    the exact scaled value, so where |y - rint(y)| < 0.499 the integer
-    m = rint(y) is the exactly rounded 12-digit mantissa, as "%.12g" takes
-    it. In the guard band beyond 0.499, m is rounded again from the exact
-    error of y by `_half_step`. An m of 10**12 is carried to 10**11 at
-    exponent X + 1. The sign comes from the sign bit, so -0.0 reads "-0".
-    Only nan, +-inf, |v| >= 10 (or a carry to 10), 0 < |v| < 1e-290 and
-    the exact and all but exact rounding ties go through `_fmt`, one value
-    at a time."""
+    Zero and each 1e-290 <= |v| < 10 are formatted with array operations
+    wherever one inequality proves their rounding exact. The decimal
+    exponent X comes from log10, corrected by one where the scaled value
+    leaves [1e11, 1e12). Then y = |v| * 10**(11 - X), with 10**k the
+    correctly rounded power, lies within 2**-52 * y < 2.3e-4 of the exact
+    scaled value, so where |y - rint(y)| < 0.499 the integer m = rint(y)
+    is the exactly rounded 12-digit mantissa, as "%.12g" takes it. An m of
+    10**12 is carried to 10**11 at exponent X + 1. The sign comes from the
+    sign bit, so -0.0 reads "-0". Every other value goes through `_fmt`,
+    one at a time: nan, +-inf, |v| >= 10 (or a carry to 10),
+    0 < |v| < 1e-290 and the values within 0.001 of a rounding tie."""
     v = np.ravel(values)
     a = np.abs(v)
     zero = a == 0
     fast = zero | ((a >= _MIN_FAST) & (a < 10))
     a[~fast | zero] = 1.0
     x = np.floor(np.log10(a)).astype(np.int64)
-    y = a * _POW10[11 - x, 0]
+    y = a * _POW10[11 - x]
     x += (y >= 1e12).astype(np.int64) - (y < 1e11)
-    np.multiply(a, _POW10[11 - x, 0], out=y)
+    np.multiply(a, _POW10[11 - x], out=y)
     m = np.rint(y)
-    band = np.flatnonzero(fast & (np.abs(y - m) >= 0.499))
-    if band.size:
-        step, fast[band] = _half_step(a[band], 11 - x[band], y[band], m[band])
-        m[band] += step
-    fast &= (m >= 1e11) & (m <= 1e12)
+    fast &= (np.abs(y - m) < 0.499) & (m >= 1e11) & (m <= 1e12)
     carry = m == 1e12
     x += carry
     fast &= x <= 0
@@ -414,7 +374,7 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     diagnostics = {"psd_violations": int(np.sum(table[:, 6] < 0.5))}
     if spec.oracle_check is not None:
         from .oracle import qd_bruteforce, tdd_bruteforce
-        idxs = np.arange(0, n, int(spec.oracle_check))
+        idxs = np.arange(0, n, min(int(spec.oracle_check), n))
         entries = thermal_entries_grid(*(coords[idxs, k] for k in range(5)))
         states = [DimerDensityMatrix(*(float(e[i]) for e in entries))
                   for i in range(idxs.size)]
@@ -442,14 +402,8 @@ def _write_rows(fh, coords: np.ndarray, table: np.ndarray) -> None:
     block: each distinct bit pattern is formatted once (so -0.0 stays
     "-0"), the leading and trailing slots that none of them uses are
     dropped, and the fields are gathered into their rows. The six measure
-    columns are formatted per row. Every float reads as "%.12g" writes it:
-    `_fmt_bytes` takes the rounding of a 12-digit mantissa from a scaled
-    value it knows to within 2.3e-4 only where that value is more than
-    0.001 from a rounding tie (its 0.499 guard), and rounds the guard band
-    again from the exact error of the scaling (to within 1.2e-16). It
-    formats one at a time, by `_fmt`, only nan, +-inf, the values outside
-    zero and 1e-290 <= |v| < 10 and those within 1e-15 of a tie; no value
-    of the presets or of a cold, zero-field box is one of them."""
+    columns are formatted per row. Every float reads as "%.12g" writes it,
+    by the rule of `_fmt_bytes`."""
     n = coords.shape[0]
     block = np.empty(_CSV_BLOCK * len(CSV_COLUMNS) * (_FIELD + 1), dtype=np.uint8)
     seps = np.full((_CSV_BLOCK, len(CSV_COLUMNS)), ord(","), dtype=np.uint8)
@@ -667,8 +621,6 @@ def figure_preset(name: str, n_points: int = 201) -> SweepSpec:
     """
     if name not in PRESET_NAMES:
         raise SweepConfigError(f"unknown preset name: {name!r}")
-    if n_points < 2:
-        raise SweepConfigError(f"n_points must be >= 2, got {n_points}")
     if name in ("fig2a", "fig2b", "fig2c", "fig2d"):
         if name in ("fig2a", "fig2b"):
             fixed = {"Jz_over_J": 0.0, "gamma": 0.95, "h_over_J": 0.27}

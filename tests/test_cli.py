@@ -182,6 +182,17 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_spot_check_step_beyond_the_grid_checks_row_zero(self, tmp_path):
+        # A step of n rows or more, up to past int64, spot-checks row 0
+        # alone, as a step of n does; the header keeps the step given.
+        huge, whole = tmp_path / "huge.csv", tmp_path / "whole.csv"
+        for step, out in ((str(2 ** 63), huge), ("6", whole)):
+            assert main(["sweep", "--preset", "fig4a", "--points", "3",
+                         "--oracle-every", step, "--out", str(out)]) == 0
+        text = huge.read_text()
+        assert f"# oracle_every = {2 ** 63}\n# oracle_points = 1\n" in text
+        assert text.replace(str(2 ** 63), "6") == whole.read_text()
+
     def test_unknown_preset(self, capsys):
         code = main(["sweep", "--preset", "fig9", "--out", "/tmp/x.csv"])
         assert code == 1
@@ -282,6 +293,25 @@ class TestProcessEntry:
             os.close(w)
         assert done.returncode == 3
         assert done.stderr == b"error: failed to write to stdout: [Errno 32] Broken pipe\n"
+
+    def test_help_into_a_closed_pipe_is_an_io_error(self):
+        # argparse prints the help and leaves main() through SystemExit; the
+        # write fails at the entry's flush, as a command's own output does.
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = run_python(CLI + ["sweep", "--help"], stdout=w)
+        finally:
+            os.close(w)
+        assert done.returncode == 3
+        assert done.stderr == b"error: failed to write to stdout: [Errno 32] Broken pipe\n"
+
+    def test_help_into_a_full_device_is_an_io_error(self):
+        with open("/dev/full", "wb") as full:
+            done = run_python(CLI + ["--help"], stdout=full)
+        assert done.returncode == 3
+        assert done.stderr == (b"error: failed to write to stdout: "
+                               b"[Errno 28] No space left on device\n")
 
     def test_profiler_report_is_written(self):
         # Under a profiler the entry exits normally, so the report is printed.

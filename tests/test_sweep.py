@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import diamondqc
@@ -42,6 +42,21 @@ def per_value_csv(res):
     rows = np.hstack((res.coords, res.table)).tolist()
     body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
     return (head + ",".join(CSV_COLUMNS) + "\n" + body).encode()
+
+
+def near_ties(n=200_000, seed=19):
+    """The floats nearest to (m + 1/2) * 10**k, for random 12-digit m and
+    random signs over the whole exponent range the formatter takes with
+    array operations (1e-290 <= |v| < 10), with their neighbours on either
+    side; then 1 - j * 2**-53, on both sides of the carry of "1"."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(10 ** 11, 10 ** 12, n).tolist()
+    k = rng.integers(-302, -11, n).tolist()
+    ties = np.array([float(f"{a}5e{b}") for a, b in zip(m, k)])
+    ties *= rng.choice([-1.0, 1.0], n)
+    return np.concatenate([ties, np.nextafter(ties, -np.inf),
+                           np.nextafter(ties, np.inf),
+                           1 - np.arange(1, 10_001) * 2.0 ** -53])
 
 
 def line_spec(n):
@@ -552,10 +567,13 @@ class TestCsvOutput:
     @settings(max_examples=200, deadline=None)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
            floats=st.lists(st.floats(1e-12, 10.0, exclude_max=True), max_size=40))
+    @example(bits=[], floats=near_ties())
     def test_formatter_reads_as_percent_formatting(self, bits, floats):
         # Any float64, from raw bit patterns (nan payloads, subnormals,
         # infinities) and from the range the measures fill, reads exactly
-        # as "%.12g" writes it once its NUL slots are deleted.
+        # as "%.12g" writes it once its NUL slots are deleted. So does each
+        # of the values nearest to rounding ties, where the rounding of a
+        # scaled value is exact only inside the 0.499 guard.
         values = np.concatenate([np.array(bits, dtype=np.uint64).view(float),
                                  np.array(floats, dtype=float)])
         got = [row.tobytes().replace(b"\0", b"") for row in sweep._fmt_bytes(values)]
@@ -563,11 +581,12 @@ class TestCsvOutput:
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2c", "fig3a", "fig4a", "fig5",
                                       "cold-box"])
-    def test_no_grid_value_is_formatted_alone(self, monkeypatch, name):
-        # Every coordinate and measure of the presets and of a cold, zero
-        # field box (tdd down to 4.3e-160) takes the array path of the
-        # formatter; `_fmt`, the per-value path, is left to nan, +-inf,
-        # exact rounding ties and magnitudes outside 1e-290..10.
+    def test_few_grid_values_are_formatted_alone(self, monkeypatch, name):
+        # The coordinates and measures of the presets and of a cold, zero
+        # field box (tdd down to 4.3e-160) take the array path of the
+        # formatter; `_fmt`, the per-value path, gets nan, +-inf, magnitudes
+        # outside 1e-290..10 and the values within 0.001 of a rounding tie,
+        # at most 1% of a sweep's cells.
         if name == "cold-box":
             spec = SweepSpec(
                 fixed={"gamma": 0.0, "h_over_J": 0.0, "Jz_over_J": 0.0},
@@ -580,7 +599,7 @@ class TestCsvOutput:
         monkeypatch.setattr(sweep, "_fmt", lambda v: calls.append(v) or fmt(v))
         out = io.BytesIO()
         sweep._write_rows(out, res.coords, res.table)
-        assert calls == []
+        assert len(calls) <= 0.01 * res.coords.shape[0] * len(CSV_COLUMNS)
         assert out.getvalue() == per_value_csv(res).split(b"\n", len(res.header) + 1)[-1]
 
     @pytest.mark.parametrize("name", ["fig2a", "fig5"])
