@@ -18,11 +18,19 @@ EXIT_IO = 3
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; remap to the
-    configuration-error code."""
+    configuration-error code. Its help goes to stdout through
+    `_write_stdout`, as every command's output does, so a failed write
+    exits with the I/O code instead of being ignored."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            super()._print_message(message, file)
+        elif message and not _write_stdout(message):
+            self.exit(EXIT_IO)
 
 
 def build_parser() -> argparse.ArgumentParser:

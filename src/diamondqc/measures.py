@@ -29,7 +29,8 @@ def _xlog2x(x):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     m = ~(x <= 1e-300)  # nan takes the log branch and stays nan
-    out[m] = x[m] * np.log2(x[m])
+    np.log2(x, out=out, where=m)
+    np.multiply(x, out, out=out, where=m)
     return out
 
 
@@ -74,45 +75,63 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
     psd_flag = eig_min >= DimerDensityMatrix.PSD_TOL
     entropy_ab = -_xlog2x(np.clip(eigs, 0.0, 1.0)).sum(axis=0)
 
+    # S(B) and the z branch share x log2 x of pb = r11 + r33. On the
+    # model's states r33 is r22, so S(B) is S(A), and the terms of pb and
+    # r33 are those of pa and r22: inner entries equal in value differ at
+    # most as signed zeros, which x log2 x maps to +0 alike, so each term
+    # is taken once with the bits of both.
+    same = np.array_equal(r22, r33)
     pa = r11 + r22
-    pb = r11 + r33
-    entropy_a = _binary_entropy(pa)
-    entropy_b = _binary_entropy(pb)
+    xl_pa = _xlog2x(pa)
+    entropy_a = -(xl_pa + _xlog2x(1.0 - pa))
+    if same:
+        xl_pb, entropy_b = xl_pa, entropy_a
+    else:
+        pb = r11 + r33
+        xl_pb = _xlog2x(pb)
+        entropy_b = -(xl_pb + _xlog2x(1.0 - pb))
     mutual_info = entropy_a + entropy_b - entropy_ab
 
     # branch 1: the second qubit measured along z, which leaves the first
     # in (r11, r33) or (r22, r44)
-    cond_z = -(_xlog2x(r11) + _xlog2x(r33) - _xlog2x(r11 + r33)) \
-             - (_xlog2x(r22) + _xlog2x(r44) - _xlog2x(r22 + r44))
-    d1 = entropy_b - entropy_ab + cond_z
+    xl_r22 = _xlog2x(r22)
+    xl_r33 = xl_r22 if same else _xlog2x(r33)
+    cond_z = -(_xlog2x(r11) + xl_r33 - xl_pb) \
+             - (xl_r22 + _xlog2x(r44) - _xlog2x(r22 + r44))
+    excess = entropy_b - entropy_ab
+    d1 = excess + cond_z
     # branch 2: transverse measurement; both outcomes leave the first qubit
     # with Bloch length big_gamma, its own z component beside the coherences
+    a14 = np.abs(r14)
+    a23 = np.abs(r23)
     big_gamma = np.sqrt(((r11 - r44) + (r22 - r33)) ** 2
-                        + 4.0 * (np.abs(r14) + np.abs(r23)) ** 2)
-    d2 = entropy_b - entropy_ab + _binary_entropy(np.clip(0.5 * (1.0 + big_gamma), 0.0, 1.0))
+                        + 4.0 * (a14 + a23) ** 2)
+    d2 = excess + _binary_entropy(np.clip(0.5 * (1.0 + big_gamma), 0.0, 1.0))
     qd = np.minimum(d1, d2)
     qd = np.where((qd < 0.0) & (qd >= -1e-12), 0.0, qd)
 
-    g1 = 2.0 * (np.abs(r23) + np.abs(r14))
-    g2 = 2.0 * (np.abs(r23) - np.abs(r14))
+    g1 = 2.0 * (a23 + a14)
+    g2 = 2.0 * (a23 - a14)
     g3 = 1.0 - 2.0 * (r22 + r33)
     xa3 = 2.0 * (r11 + r22) - 1.0
-    gmax_sq = np.maximum(g3 * g3, g2 * g2 + xa3 * xa3)
-    gmin_sq = np.minimum(g1 * g1, g3 * g3)
+    g1_sq = g1 * g1
+    g3_sq = g3 * g3
+    gmax_sq = np.maximum(g3_sq, g2 * g2 + xa3 * xa3)
+    gmin_sq = np.minimum(g1_sq, g3_sq)
     # tdd^2 = (g1^2 gmax^2 - g2^2 gmin^2) / (gmax^2 - gmin^2 + g1^2 - g2^2),
     # rewritten with g1^2 - g2^2 = 16 |r14| |r23| as the mean of g1^2 and
     # gmin^2 weighted by a and b; both weights are non-negative, and they
     # vanish together only where every g_i^2 and xa3^2 coincide.
     a = gmax_sq - gmin_sq
-    b = 16.0 * np.abs(r14) * np.abs(r23)
+    b = 16.0 * a14 * a23
     den = a + b
-    safe_den = np.where(den > 0.0, den, 1.0)
-    tdd = np.where(den > 0.0, np.sqrt((a * (g1 * g1) + b * gmin_sq) / safe_den),
-                   np.abs(g1))
+    pos = den > 0.0
+    safe_den = np.where(pos, den, 1.0)
+    tdd = np.where(pos, np.sqrt((a * g1_sq + b * gmin_sq) / safe_den), np.abs(g1))
 
     conc = np.clip(2.0 * np.maximum(
-        np.abs(r14) - np.sqrt(np.maximum(r22 * r33, 0.0)),
-        np.abs(r23) - np.sqrt(np.maximum(r11 * r44, 0.0))), 0.0, 1.0)
+        a14 - np.sqrt(np.maximum(r22 * r33, 0.0)),
+        a23 - np.sqrt(np.maximum(r11 * r44, 0.0))), 0.0, 1.0)
 
     return {
         "qd": qd, "d1": d1, "d2": d2, "tdd": tdd,

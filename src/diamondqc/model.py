@@ -36,26 +36,36 @@ def _scaled_blocks(beta, gamma, jz, j0, h):
     exponential argument is <= 0 and nothing overflows at any beta.
     """
     ui = 0.5 * beta
+    hg = 0.5 * gamma
+    qz = 0.25 * jz
     pieces = {}
     shift = None
     for x in SECTOR_SPIN_SUMS:
         g = j0 * x + h
-        d = np.hypot(g, 0.5 * gamma)
+        d = np.hypot(g, hg)
         to = beta * d
-        po = beta * (0.25 * jz + 0.5 * h * x)
-        pi = beta * (0.5 * h * x - 0.25 * jz)
+        hx = 0.5 * h * x
+        po = beta * (qz + hx)
+        pi = beta * (hx - qz)
         pieces[x] = (g, d, po, to, pi)
         local = np.maximum(po + to, pi + ui)
         shift = local if shift is None else np.maximum(shift, local)
     entries = {}
+    # The temporaries of the last sector set a chunk's peak memory, so they
+    # are freed once spent.
     for x, (g, d, po, to, pi) in pieces.items():
         ep = np.exp(po + to - shift)
         em = np.exp(po - to - shift)
-        safe = np.where(d > 0.0, d, 1.0)
-        ratio = np.where(d > 0.0, g / safe, 0.0)
-        b11 = 0.5 * (ep * (1.0 + ratio) + em * (1.0 - ratio))
-        b44 = 0.5 * (ep * (1.0 - ratio) + em * (1.0 + ratio))
-        coef = np.where(d > 0.0, 0.5 * gamma / safe, 0.0)
+        pos = d > 0.0
+        safe = np.where(pos, d, 1.0)
+        ratio = np.where(pos, g / safe, 0.0)
+        rp = 1.0 + ratio
+        rm = 1.0 - ratio
+        b11 = 0.5 * (ep * rp + em * rm)
+        b44 = 0.5 * (ep * rm + em * rp)
+        del rp, rm
+        coef = np.where(pos, hg / safe, 0.0)
+        del pos, safe, ratio
         b14 = coef * 0.5 * (ep - em)
         eip = np.exp(pi + ui - shift)
         eim = np.exp(pi - ui - shift)
@@ -81,17 +91,19 @@ def _transfer(entries):
     wp, w0, wm = ((entries[x][0] + entries[x][2]) + 2.0 * entries[x][1]
                   for x in SECTOR_SPIN_SUMS)
     diff = wp - wm
-    rad = np.hypot(diff, 2.0 * w0)
+    tw0 = 2.0 * w0
+    rad = np.hypot(diff, tw0)
     lam = 0.5 * (wp + wm + rad)
     denom = rad + np.abs(diff)
     denom = np.where(denom > 0.0, denom, 1.0)
-    gp = np.where(diff >= 0.0, 2.0 * w0 * w0 / denom, 0.5 * (rad - diff))
+    gp = np.where(diff >= 0.0, tw0 * w0 / denom, 0.5 * (rad - diff))
     norm = np.hypot(w0, gp)
     deg = norm < 1e-150
     safe_norm = np.where(deg, 1.0, norm)
     half = np.sqrt(0.5)
-    v1 = np.where(deg, np.where(diff == 0.0, half, diff > 0.0), w0 / safe_norm)
-    v2 = np.where(deg, np.where(diff == 0.0, half, diff < 0.0), gp / safe_norm)
+    tie = diff == 0.0
+    v1 = np.where(deg, np.where(tie, half, diff > 0.0), w0 / safe_norm)
+    v2 = np.where(deg, np.where(tie, half, diff < 0.0), gp / safe_norm)
     return lam, v1, v2
 
 
@@ -135,8 +147,9 @@ def thermal_entries_grid(j0, t, h, gamma, jz):
     qp = v1 * v1
     q0 = v1 * v2
     qm = v2 * v2
+    tq0 = 2.0 * q0
     r11, r22, r44, r14, r23 = (
-        (qp * blocks[2.0][k] + 2.0 * q0 * blocks[0.0][k] + qm * blocks[-2.0][k]) / lam
+        (qp * blocks[2.0][k] + tq0 * blocks[0.0][k] + qm * blocks[-2.0][k]) / lam
         for k in range(5))  # b11, b22, b44, b14, b23
     return r11, r22, r22, r44, r14, r23
 

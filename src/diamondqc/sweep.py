@@ -30,8 +30,8 @@ T_AXIS_FLOOR = 0.02
 
 _CHUNK_SIZE = 1 << 14
 # emit_csv formats rows a block at a time into one reusable byte matrix of
-# `_CSV_BLOCK` rows, a field of at most `_FIELD` bytes plus a separator per
-# column, at most 1.2 MB. A large body is cut at block boundaries into one
+# `_CSV_BLOCK` rows, a field of at most `_FIELD` bytes per column and a
+# newline, at most 1.2 MB. A large body is cut at block boundaries into one
 # contiguous row range per writer process, as the grid is cut at chunk
 # boundaries into one range per evaluator.
 _CSV_BLOCK = 4096
@@ -39,9 +39,11 @@ _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
                "eig_min", "psd_flag")
 
 # The byte slots of one field written by `_fmt_bytes`, three 8-byte words:
-# the sign, the "0." to "0.000" prefix of -4 <= X <= -1, the leading digit
-# and the point; the digits d1..d8; d9..d11 and the "e-XX" or "e-XXX"
-# suffix of X < -4. Unused slots hold NUL, which the writer deletes.
+# a free slot, then the sign, the "0." to "0.000" prefix of -4 <= X <= -1,
+# the leading digit and the point, at most seven bytes set flush right;
+# the digits d1..d8; d9..d11 and the "e-XX" or "e-XXX" suffix of X < -4.
+# The writer puts the comma before the field into the free slot. Unused
+# slots hold NUL, which the writer deletes.
 _FIELD = 24
 _MIN_FAST = 1e-290          # below this, 10**(11 - X) would overflow
 _MAX_E = 291                # largest -X the exponent correction can reach
@@ -53,7 +55,8 @@ def _byte_tables():
     e = -X, and "stripped" meaning with trailing zeros turned to NUL:
 
     lead    the first word, at ((e * 2 + sign) * 10 + d0) * 2 + 1 if the
-            point is dropped (d1..d11 all zero), else + 0
+            point is dropped (d1..d11 all zero), else + 0; its set bytes
+            are moved flush right, so byte 0 stays free
     quads   four digits k < 10**4 as one uint32 at k, stripped at 10**4 + k
     triples three digits k < 1000 and a NUL as one uint32, stripped
     suffix  the third word with its digit slots empty, at e
@@ -72,12 +75,15 @@ def _byte_tables():
         np.full_like(e, 101), np.full_like(e, 45),
         np.where(e >= 100, exponent, np.roll(exponent, -1, axis=1))]), 0)
     suffix[:, 7] *= e[:, 0] >= 100
-    i = np.arange(e.size * 40, dtype=np.int32)
+    i = np.arange(5 * 40, dtype=np.int32)  # e <= 4; each e >= 5 reads as e = 0
     lead = np.zeros((i.size, 8), dtype=np.uint8)
     lead[:, 0] = i // 20 % 2 * 45
     lead[:, 1:6] = prefix[i // 40]
     lead[:, 6] = i // 2 % 10 + 48
     lead[:, 7] = ~fixed[i // 40, 0] * (i % 2 == 0) * 46
+    lead = np.take_along_axis(lead, np.argsort(lead != 0, axis=1, kind="stable"), axis=1)
+    i = np.arange(e.size * 40)
+    lead = lead[np.where(i < lead.shape[0], i, i % 40)]
     return (lead.view(np.uint64).ravel(),
             quads.astype(np.uint8).view(np.uint32).ravel(),
             triples.astype(np.uint8).view(np.uint32).ravel(),
@@ -98,6 +104,7 @@ def _fmt(value: float) -> str:
 def _fmt_bytes(values: np.ndarray) -> np.ndarray:
     """"%.12g" of each float64 in `values`, as an (n, `_FIELD`) uint8 matrix
     whose row, with its NUL bytes deleted, reads exactly as `_fmt` writes it.
+    Column 0 is NUL in every row, a free slot for the caller.
 
     Zero and each 1e-290 <= |v| < 10 are formatted with array operations
     wherever one inequality proves their rounding exact. The decimal
@@ -148,16 +155,18 @@ def _fmt_bytes(values: np.ndarray) -> np.ndarray:
     quads[:, 4] |= np.take(_TRIPLES, m)
     z9 = m == 0
     del m
-    d5 = d1 % 10 ** 4
+    # d5..d8 without int64 %, several times slower than //
+    d5 = d1.copy()
     d1 //= 10 ** 4
+    d5 -= d1 * 10 ** 4
     quads[:, 3] = np.take(_QUADS, d5 + z9 * 10 ** 4)
     quads[:, 2] = np.take(_QUADS, d1 + (z9 & (d5 == 0)) * 10 ** 4)
     out = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = b"".join(_fmt(w).encode().ljust(_FIELD, b"\0")
+        text = b"".join(_fmt(w).encode().ljust(_FIELD - 1, b"\0")
                         for w in v[slow].tolist())
-        out[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD)
+        out[slow, 1:] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD - 1)
     return out
 
 
@@ -394,42 +403,52 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
 def _write_rows(fh, coords: np.ndarray, table: np.ndarray) -> None:
     """Write one CSV row per row of `coords` and `table` to the binary file
     `fh`, a block of `_CSV_BLOCK` rows at a time. Each column of a block
-    is a field of byte slots from `_fmt_bytes`; the fields and their commas
-    and newline are joined into one byte matrix, allocated once, and
-    written with their NUL bytes deleted.
+    is a field of byte slots from `_fmt_bytes`, whose free first slot takes
+    the comma before it; the fields and a newline are joined into one byte
+    matrix, allocated once, and written with their NUL bytes deleted.
 
     The coordinate and psd_flag columns hold few distinct values in a
-    block: each distinct bit pattern is formatted once (so -0.0 stays
-    "-0"), the leading and trailing slots that none of them uses are
-    dropped, and the fields are gathered into their rows. The six measure
-    columns are formatted per row. Every float reads as "%.12g" writes it,
-    by the rule of `_fmt_bytes`."""
+    block. A column whose bits are all equal is formatted once and
+    broadcast; any other has each distinct bit pattern formatted once and
+    gathered into its rows (so -0.0 stays "-0" either way). The trailing
+    slots that none of its values uses are dropped. The six measure
+    columns are formatted per row, as one contiguous run of fields.
+    Every float reads as "%.12g" writes it, by the rule of `_fmt_bytes`."""
     n = coords.shape[0]
-    block = np.empty(_CSV_BLOCK * len(CSV_COLUMNS) * (_FIELD + 1), dtype=np.uint8)
-    seps = np.full((_CSV_BLOCK, len(CSV_COLUMNS)), ord(","), dtype=np.uint8)
-    seps[:, -1] = ord("\n")
+    block = np.empty(_CSV_BLOCK * (len(CSV_COLUMNS) * _FIELD + 1), dtype=np.uint8)
+    newline = np.full((_CSV_BLOCK, 1), ord("\n"), dtype=np.uint8)
     for i in range(0, n, _CSV_BLOCK):
-        rows = _fill_block(block, seps, coords[i:i + _CSV_BLOCK], table[i:i + _CSV_BLOCK])
+        rows = _fill_block(block, newline, coords[i:i + _CSV_BLOCK], table[i:i + _CSV_BLOCK])
         fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _fill_block(block, seps, c, t):
+def _fill_block(block, newline, c, t):
     """The rows of one block, as a (rows, width) view of the front of
-    `block`: the fields of `c` and `t`, each followed by its separator."""
+    `block`: the fields of `c` and `t`, then the newline."""
     k = c.shape[0]
-    distinct = [np.unique(col.view(np.int64), return_inverse=True)
-                for col in (*c.T, t[:, 6])]
-    text = _fmt_bytes(np.concatenate([bits for bits, _ in distinct]).view(float))
+    distinct = []
+    for col in (*c.T, t[:, 6]):
+        bits = col.view(np.int64)
+        if (bits == bits[0]).all():
+            distinct.append((bits[:1], None))
+        else:
+            distinct.append(np.unique(bits, return_inverse=True))
+    text = _fmt_bytes(np.concatenate([bits.view(float) for bits, _ in distinct]
+                                     + [t[:, :6].ravel()]))
+    text[:, 0] = ord(",")
     fields, start = [], 0
     for bits, inverse in distinct:
         part = text[start:start + bits.size]
         used = np.flatnonzero(part.any(axis=0))
-        fields.append(np.take(part[:, used[0]:used[-1] + 1], inverse, axis=0))
+        part = part[:, :used[-1] + 1]
+        fields.append(np.broadcast_to(part, (k, part.shape[1])) if inverse is None
+                      else np.take(part, inverse, axis=0))
         start += bits.size
-    fields[5:5] = _fmt_bytes(t[:, :6]).reshape(k, 6, _FIELD).transpose(1, 0, 2)
-    parts = [p for j, f in enumerate(fields) for p in (f, seps[:k, j:j + 1])]
-    width = sum(p.shape[1] for p in parts)
-    return np.concatenate(parts, axis=1, out=block[:k * width].reshape(k, width))
+    fields[0] = fields[0][:, 1:]  # no comma before the first column
+    fields[5:5] = [text[start:].reshape(k, 6 * _FIELD)]
+    fields.append(newline[:k])
+    width = sum(f.shape[1] for f in fields)
+    return np.concatenate(fields, axis=1, out=block[:k * width].reshape(k, width))
 
 
 def _ranges(n: int, unit: int) -> list:

@@ -295,23 +295,27 @@ class TestProcessEntry:
         assert done.stderr == b"error: failed to write to stdout: [Errno 32] Broken pipe\n"
 
     def test_help_into_a_closed_pipe_is_an_io_error(self):
-        # argparse prints the help and leaves main() through SystemExit; the
-        # write fails at the entry's flush, as a command's own output does.
-        r, w = os.pipe()
-        os.close(r)
-        try:
-            done = run_python(CLI + ["sweep", "--help"], stdout=w)
-        finally:
-            os.close(w)
-        assert done.returncode == 3
-        assert done.stderr == b"error: failed to write to stdout: [Errno 32] Broken pipe\n"
+        # argparse prints the help and leaves main() through SystemExit.
+        # Block-buffered, the write fails at the entry's flush; unbuffered,
+        # at the parser's own write, which argparse alone would ignore.
+        for unbuffered in (False, True):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                done = run_python(CLI + ["sweep", "--help"], stdout=w,
+                                  unbuffered=unbuffered)
+            finally:
+                os.close(w)
+            assert done.returncode == 3, unbuffered
+            assert done.stderr == b"error: failed to write to stdout: [Errno 32] Broken pipe\n"
 
     def test_help_into_a_full_device_is_an_io_error(self):
-        with open("/dev/full", "wb") as full:
-            done = run_python(CLI + ["--help"], stdout=full)
-        assert done.returncode == 3
-        assert done.stderr == (b"error: failed to write to stdout: "
-                               b"[Errno 28] No space left on device\n")
+        for unbuffered in (False, True):
+            with open("/dev/full", "wb") as full:
+                done = run_python(CLI + ["--help"], stdout=full, unbuffered=unbuffered)
+            assert done.returncode == 3, unbuffered
+            assert done.stderr == (b"error: failed to write to stdout: "
+                                   b"[Errno 28] No space left on device\n")
 
     def test_profiler_report_is_written(self):
         # Under a profiler the entry exits normally, so the report is printed.

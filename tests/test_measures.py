@@ -4,10 +4,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from diamondqc import measures
 from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
 from diamondqc.oracle import qd_bruteforce, tdd_bruteforce
-from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
+from diamondqc.params import (DimerDensityMatrix, ModelParams, ThermalPoint,
+                              x_block_eigenvalues)
+from test_model import F4_POINT, same_bits, wide_boxes
 
 BELL = DimerDensityMatrix(r11=0.5, r22=0.0, r33=0.0, r44=0.5, r14=0.5, r23=0.0)
 MIXED = DimerDensityMatrix(r11=0.25, r22=0.25, r33=0.25, r44=0.25,
@@ -29,6 +32,72 @@ CAL_REPORT = {
     "entropy_a": 0.674084604462926,
 }
 WERNER_QD = 0.484030913041126  # p = 0.7, frozen from the projective search
+
+
+# Inputs where x log2 x takes each of its branches: 0 and -0, the 1e-300
+# cut and its neighbours, subnormals, negatives, nan and the infinities.
+XLOG_SPECIALS = np.array([
+    0.0, -0.0, 1e-300, np.nextafter(1e-300, 0.0), np.nextafter(1e-300, 1.0),
+    5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+    -5e-324, -1e-300, -0.5, -1e300, np.nan, -np.nan, np.inf, -np.inf,
+    1.0, 0.5, np.nextafter(1.0, 0.0), 1e300])
+
+
+def reference_xlog2x(x):
+    """`measures._xlog2x` in its first form: the masked values gathered,
+    multiplied by their log2 and scattered back."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    m = ~(x <= 1e-300)
+    out[m] = x[m] * np.log2(x[m])
+    return out
+
+
+def reference_measures(r11, r22, r33, r44, r14, r23):
+    """`x_state_measures` in its first form: every x log2 x, |r14|, |r23|,
+    square and mask formed where it is used, through `reference_xlog2x`."""
+    r11, r22, r33, r44, r14, r23 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (r11, r22, r33, r44, r14, r23)))
+
+    def binary_entropy(p):
+        return -(reference_xlog2x(p) + reference_xlog2x(1.0 - p))
+
+    eigs = x_block_eigenvalues(r11, r22, r33, r44, r14, r23)
+    eig_min = eigs.min(axis=0)
+    entropy_ab = -reference_xlog2x(np.clip(eigs, 0.0, 1.0)).sum(axis=0)
+    entropy_a = binary_entropy(r11 + r22)
+    entropy_b = binary_entropy(r11 + r33)
+    cond_z = -(reference_xlog2x(r11) + reference_xlog2x(r33)
+               - reference_xlog2x(r11 + r33)) \
+        - (reference_xlog2x(r22) + reference_xlog2x(r44) - reference_xlog2x(r22 + r44))
+    d1 = entropy_b - entropy_ab + cond_z
+    big_gamma = np.sqrt(((r11 - r44) + (r22 - r33)) ** 2
+                        + 4.0 * (np.abs(r14) + np.abs(r23)) ** 2)
+    d2 = entropy_b - entropy_ab + binary_entropy(np.clip(0.5 * (1.0 + big_gamma), 0.0, 1.0))
+    qd = np.minimum(d1, d2)
+    g1 = 2.0 * (np.abs(r23) + np.abs(r14))
+    g2 = 2.0 * (np.abs(r23) - np.abs(r14))
+    g3 = 1.0 - 2.0 * (r22 + r33)
+    xa3 = 2.0 * (r11 + r22) - 1.0
+    gmax_sq = np.maximum(g3 * g3, g2 * g2 + xa3 * xa3)
+    gmin_sq = np.minimum(g1 * g1, g3 * g3)
+    a = gmax_sq - gmin_sq
+    b = 16.0 * np.abs(r14) * np.abs(r23)
+    den = a + b
+    safe_den = np.where(den > 0.0, den, 1.0)
+    return {
+        "qd": np.where((qd < 0.0) & (qd >= -1e-12), 0.0, qd), "d1": d1, "d2": d2,
+        "tdd": np.where(den > 0.0, np.sqrt((a * (g1 * g1) + b * gmin_sq) / safe_den),
+                        np.abs(g1)),
+        "concurrence": np.clip(2.0 * np.maximum(
+            np.abs(r14) - np.sqrt(np.maximum(r22 * r33, 0.0)),
+            np.abs(r23) - np.sqrt(np.maximum(r11 * r44, 0.0))), 0.0, 1.0),
+        "mutual_info": entropy_a + entropy_b - entropy_ab,
+        "entropy_ab": entropy_ab, "entropy_a": entropy_a,
+        "eig_min": eig_min, "psd_flag": eig_min >= DimerDensityMatrix.PSD_TOL,
+        "tdd_g1": g1, "tdd_g2": g2, "tdd_g3": g3, "tdd_xa3": xa3,
+        "tdd_gmax_sq": gmax_sq, "tdd_gmin_sq": gmin_sq,
+    }
 
 
 def werner(p):
@@ -215,6 +284,52 @@ class TestVectorized:
         out = x_state_measures(s.r11, s.r22, s.r33, s.r44, s.r14, s.r23)
         assert out["psd_flag"]
         assert out["eig_min"] >= -1e-10
+
+
+class TestReferenceForms:
+    """Each x log2 x, absolute value, square and mask the module forms once
+    is the one its first form formed at each use, so every measure carries
+    the same bits."""
+
+    def test_xlog2x_matches_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        x = np.concatenate([XLOG_SPECIALS, 10.0 ** rng.uniform(-320, 10, 5000),
+                            rng.choice(XLOG_SPECIALS, 5000)])
+        assert same_bits(measures._xlog2x(x), reference_xlog2x(x))
+        for v in XLOG_SPECIALS:
+            assert same_bits(measures._xlog2x(v), reference_xlog2x(v))
+
+    def test_sweep_states_match_reference_bitwise(self):
+        # The model's states have r33 = r22, where S(B) and its terms are
+        # taken from S(A): F4, wide boxes, cold and hot corners and h = 0 ties.
+        for cols in wide_boxes().values():
+            entries = thermal_entries_grid(*cols)
+            got, want = x_state_measures(*entries), reference_measures(*entries)
+            assert got.keys() == want.keys()
+            assert all(same_bits(got[k], want[k]) for k in got), cols[1][:3]
+        point = x_state_measures(*thermal_entries_grid(*F4_POINT))
+        assert all(same_bits(point[k], v) for k, v in reference_measures(
+            *thermal_entries_grid(*F4_POINT)).items())
+
+    def test_general_states_match_reference_bitwise(self):
+        # r22 != r33, equal inner entries that differ as signed zeros, and
+        # rows of special values, each as its own array and mixed in one.
+        rng = np.random.default_rng(22)
+        diag = rng.dirichlet(np.ones(4), 3000).T
+        general = (*diag, rng.uniform(-0.3, 0.3, 3000), rng.uniform(-0.3, 0.3, 3000))
+        signed = np.array([[0.0, 0.0, -0.0, 1.0, 0.0, 0.0],
+                           [-0.0, 0.0, -0.0, 1.0, 0.0, -0.0],
+                           [0.5, -0.0, 0.0, 0.5, -0.5, 0.0],
+                           [-0.0, -0.0, 0.0, 1.0, 0.0, 0.0]]).T
+        specials = rng.choice(XLOG_SPECIALS, (6, 2000))
+        specials[2] = np.where(rng.random(2000) < 0.5, specials[1], specials[2])
+        same = specials.copy()
+        same[2] = same[1]
+        with np.errstate(all="ignore"):
+            for rows in (general, signed, specials, same,
+                         np.hstack([np.array(general), signed, specials])):
+                got, want = x_state_measures(*rows), reference_measures(*rows)
+                assert all(same_bits(got[k], want[k]) for k in got)
 
 
 def symmetric_x_entries(draw):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from diamondqc import model
 from diamondqc.measures import x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
-from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
+from diamondqc.params import (SECTOR_SPIN_SUMS, DimerDensityMatrix, ModelParams,
+                              ThermalPoint)
 
 CAL_PARAMS = ModelParams(gamma=0.6, jz=0.3, j0=0.3, h=0.35)
 CAL_TP = ThermalPoint(0.5)
@@ -22,6 +24,97 @@ CAL_TP = ThermalPoint(0.5)
 # r44 = 1/4+zz-z, r14 = xx-yy, r23 = xx+yy.
 CAL_ENTRIES = (0.691497789264822, 0.13122482781396, 0.13122482781396,
                0.046052555107257975, 0.11399912353710671, 0.09994006197941328)
+
+# ROADMAP's F4 point, where the transfer eigenvector loses digits: the
+# reference forms below must agree with the module there too.
+F4_POINT = (-1.6949279305864766, 0.14892613585239473, 0.8519317188133337,
+            -0.00015604944553040435, 1.2282012113698082)  # J0, T, h, gamma, Jz
+
+
+def reference_scaled_blocks(beta, gamma, jz, j0, h):
+    """`model._scaled_blocks` in its first form, each product formed where
+    it is used. The module's bits must equal these."""
+    ui = 0.5 * beta
+    pieces = {}
+    shift = None
+    for x in SECTOR_SPIN_SUMS:
+        g = j0 * x + h
+        d = np.hypot(g, 0.5 * gamma)
+        to = beta * d
+        po = beta * (0.25 * jz + 0.5 * h * x)
+        pi = beta * (0.5 * h * x - 0.25 * jz)
+        pieces[x] = (g, d, po, to, pi)
+        local = np.maximum(po + to, pi + ui)
+        shift = local if shift is None else np.maximum(shift, local)
+    entries = {}
+    for x, (g, d, po, to, pi) in pieces.items():
+        ep = np.exp(po + to - shift)
+        em = np.exp(po - to - shift)
+        safe = np.where(d > 0.0, d, 1.0)
+        ratio = np.where(d > 0.0, g / safe, 0.0)
+        b11 = 0.5 * (ep * (1.0 + ratio) + em * (1.0 - ratio))
+        b44 = 0.5 * (ep * (1.0 - ratio) + em * (1.0 + ratio))
+        coef = np.where(d > 0.0, 0.5 * gamma / safe, 0.0)
+        b14 = coef * 0.5 * (ep - em)
+        eip = np.exp(pi + ui - shift)
+        eim = np.exp(pi - ui - shift)
+        b22 = 0.5 * (eip + eim)
+        b23 = 0.5 * (eip - eim)
+        entries[x] = (b11, b22, b44, b14, b23)
+    return entries
+
+
+def reference_entries(j0, t, h, gamma, jz):
+    """`thermal_entries_grid` in its first form, through
+    `reference_scaled_blocks` and the transfer eigenvector as first written."""
+    j0, t, h, gamma, jz = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (j0, t, h, gamma, jz)))
+    blocks = reference_scaled_blocks(1.0 / t, gamma, jz, j0, h)
+    wp, w0, wm = ((blocks[x][0] + blocks[x][2]) + 2.0 * blocks[x][1]
+                  for x in SECTOR_SPIN_SUMS)
+    diff = wp - wm
+    rad = np.hypot(diff, 2.0 * w0)
+    lam = 0.5 * (wp + wm + rad)
+    denom = rad + np.abs(diff)
+    denom = np.where(denom > 0.0, denom, 1.0)
+    gp = np.where(diff >= 0.0, 2.0 * w0 * w0 / denom, 0.5 * (rad - diff))
+    norm = np.hypot(w0, gp)
+    deg = norm < 1e-150
+    safe_norm = np.where(deg, 1.0, norm)
+    half = np.sqrt(0.5)
+    v1 = np.where(deg, np.where(diff == 0.0, half, diff > 0.0), w0 / safe_norm)
+    v2 = np.where(deg, np.where(diff == 0.0, half, diff < 0.0), gp / safe_norm)
+    qp, q0, qm = v1 * v1, v1 * v2, v2 * v2
+    r11, r22, r44, r14, r23 = (
+        (qp * blocks[2.0][k] + 2.0 * q0 * blocks[0.0][k] + qm * blocks[-2.0][k]) / lam
+        for k in range(5))
+    return r11, r22, r22, r44, r14, r23
+
+
+def wide_boxes(n=6000, seed=20):
+    """Seeded (J0, T, h, gamma, Jz) columns over T/J 1e-3..1e3, |gamma| <=
+    1.5, |J0|, |Jz| <= 2 and |h| <= 3: free draws; h = 0 ties with signed
+    zeros in h and gamma; sweep-like rows that repeat their couplings along
+    runs of temperatures; and the F4 point."""
+    rng = np.random.default_rng(seed)
+    t = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    j0, jz = rng.uniform(-2.0, 2.0, (2, n))
+    gamma = rng.uniform(-1.5, 1.5, n)
+    signed_zeros = rng.choice([0.0, -0.0], n)
+    row = np.arange(n)
+    return {
+        "free": (j0, t, rng.uniform(-3.0, 3.0, n), gamma, jz),
+        "h-ties": (j0, t, signed_zeros, np.where(rng.random(n) < 0.2, signed_zeros, gamma), jz),
+        "runs": (j0[row // 50], t, rng.choice([0.0, -0.0, 0.27], n)[row // 30],
+                 gamma[row // 70], jz[row // 40]),
+        "F4": tuple(np.array([v]) for v in F4_POINT),
+    }
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 params_box = st.builds(
     ModelParams,
@@ -192,6 +285,33 @@ class TestEntriesGrid:
             np.array([3.0, -3.0]), np.array([1.5, -1.5]), np.array([2.0, -2.0]))
         for e in entries:
             assert np.all(np.isfinite(e))
+
+
+class TestReferenceForms:
+    """Each product and mask the module forms once is the one its first
+    form formed at each use, so the entries carry the same bits."""
+
+    @pytest.mark.parametrize("box", ["free", "h-ties", "runs", "F4"])
+    def test_scaled_blocks_match_reference_bitwise(self, box):
+        j0, t, h, gamma, jz = wide_boxes()[box]
+        for shape in ((-1,), (-1, 1), ()):
+            if shape == ():
+                args = [a[:1].reshape(()) for a in (1.0 / t, gamma, jz, j0, h)]
+            else:
+                args = [a.reshape(shape) for a in (1.0 / t, gamma, jz, j0, h)]
+            got, want = model._scaled_blocks(*args), reference_scaled_blocks(*args)
+            for x in SECTOR_SPIN_SUMS:
+                assert all(same_bits(g, w) for g, w in zip(got[x], want[x])), (box, shape, x)
+
+    @pytest.mark.parametrize("box", ["free", "h-ties", "runs", "F4"])
+    def test_entries_match_reference_bitwise(self, box):
+        cols = wide_boxes()[box]
+        assert all(same_bits(g, w) for g, w in zip(thermal_entries_grid(*cols),
+                                                   reference_entries(*cols)))
+        # A sweep's columns are strided views of its coordinate table.
+        table = np.stack(cols, axis=1)
+        assert all(same_bits(g, w) for g, w in zip(
+            thermal_entries_grid(*table.T), reference_entries(*cols)))
 
 
 class TestDimerDensityMatrix:

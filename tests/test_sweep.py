@@ -59,6 +59,19 @@ def near_ties(n=200_000, seed=19):
                            1 - np.arange(1, 10_001) * 2.0 ** -53])
 
 
+def digit_groups():
+    """Floats whose 12 significant digits put every four-digit value k in
+    both d1..d4 and d5..d8 and k % 1000 in d9..d11, each also with its
+    trailing groups zero (so stripped), at exponents of both notations."""
+    k = np.arange(10 ** 4)
+    lead = (1 + k % 9) * 10 ** 11
+    mantissas = np.concatenate([lead + k * 10 ** 7 + k * 10 ** 3 + k % 1000,
+                                lead + k * 10 ** 7 + k * 10 ** 3,
+                                lead + k * 10 ** 7]).tolist()
+    return np.array([float(f"{m}e{x - 11}") for x in (-30, -5, -4, -1, 0)
+                     for m in mantissas])
+
+
 def line_spec(n):
     """A spec of n rows along one field axis."""
     return SweepSpec(
@@ -526,12 +539,21 @@ class TestCsvOutput:
         assert lines[-1] == ",".join(CSV_COLUMNS)
 
     def test_rows_are_percent_formatted_across_blocks(self, tmp_path):
+        for n in (_CSV_BLOCK + 3, 2 * _CSV_BLOCK + 1):
+            self.check_blocks(tmp_path, n)
+
+    @staticmethod
+    def check_blocks(tmp_path, n):
         # Rows are formatted a block at a time; each must read exactly as
         # "%.12g" writes its floats, including the awkward values, in a
-        # table whose last block is partial. The coordinate and psd_flag
-        # columns are formatted once per distinct value in a block: a
-        # dedupe by float equality would write 0.0 and -0.0 alike.
-        n = _CSV_BLOCK + 3
+        # table whose last block is partial, down to one row. The
+        # coordinate and psd_flag columns are formatted once per distinct
+        # value in a block, and once for the block where all their bits are
+        # equal: a dedupe by float equality would write 0.0 and -0.0 alike.
+        # Column 1 is all -0.0 but for 0.0 in every other row of the second
+        # block, and column 4 all +inf. Column 3 is nan but for the last row
+        # of the first block, and all nan after it; column 11 is constant
+        # but for its last row in the second block.
         special = [-0.0, float("nan"), 1e-300, 0.1 + 0.2, -1e300, 2.0 ** -1074,
                    # the floats nearest to (m + 0.5) * 10**-k: in the guard
                    # band, within 0.001 of a rounding tie
@@ -550,6 +572,12 @@ class TestCsvOutput:
         values[:, 3] = float("nan")
         values[:, 11] = np.resize([0.0, 1.0, -0.0], n)
         values[_CSV_BLOCK - 1:_CSV_BLOCK + 1, 1:] = 0.1 + 0.2
+        values[:, 1] = -0.0
+        values[_CSV_BLOCK:2 * _CSV_BLOCK:2, 1] = 0.0
+        values[:, 4] = float("inf")
+        values[_CSV_BLOCK:, 3] = float("nan")
+        values[_CSV_BLOCK:, 11] = 1.0
+        values[min(n, 2 * _CSV_BLOCK) - 1, 11] = 0.0
         res = SweepResult(spec=small_spec(2, 2), coords=values[:, :5],
                           table=values[:, 5:], header={"n_rows": str(n)})
         path = tmp_path / "blocks.csv"
@@ -563,20 +591,31 @@ class TestCsvOutput:
         assert [c[2] for c in cells] == [b"0", b"-0", b"0", b"1.5", b"-0", b"1.5", b"1.5"]
         assert {c[3] for c in cells} == {b"nan"}
         assert [c[11] for c in cells[:3]] == [b"0", b"1", b"-0"]
+        cells = [row.split(b",") for row in rows[:-1]]
+        assert {c[1] for c in cells[:_CSV_BLOCK]} == {b"-0"}
+        assert {c[4] for c in cells} == {b"inf"}
+        assert {c[3] for c in cells[_CSV_BLOCK:]} == {b"nan"} != {cells[_CSV_BLOCK - 1][3]}
+        second = [c[11] for c in cells[_CSV_BLOCK:2 * _CSV_BLOCK]]
+        assert second == [b"1"] * (len(second) - 1) + [b"0"]
 
     @settings(max_examples=200, deadline=None)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
            floats=st.lists(st.floats(1e-12, 10.0, exclude_max=True), max_size=40))
     @example(bits=[], floats=near_ties())
+    @example(bits=[], floats=digit_groups())
     def test_formatter_reads_as_percent_formatting(self, bits, floats):
         # Any float64, from raw bit patterns (nan payloads, subnormals,
         # infinities) and from the range the measures fill, reads exactly
         # as "%.12g" writes it once its NUL slots are deleted. So does each
         # of the values nearest to rounding ties, where the rounding of a
-        # scaled value is exact only inside the 0.499 guard.
+        # scaled value is exact only inside the 0.499 guard, and each value
+        # of the three digit groups the mantissa is split into. The first
+        # slot of every field is left free.
         values = np.concatenate([np.array(bits, dtype=np.uint64).view(float),
                                  np.array(floats, dtype=float)])
-        got = [row.tobytes().replace(b"\0", b"") for row in sweep._fmt_bytes(values)]
+        text = sweep._fmt_bytes(values)
+        assert not text[:, 0].any()
+        got = [row.tobytes().replace(b"\0", b"") for row in text]
         assert got == [("%.12g" % v).encode() for v in values.tolist()]
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2c", "fig3a", "fig4a", "fig5",
