@@ -208,7 +208,7 @@ def check_tdd_dominates_qd() -> CheckResult:
     result = run_sweep(figure_preset("fig4a"))
     margin = float(np.min(result.column("tdd") - result.column("qd")))
     passed = margin >= -1e-9
-    detail = (f"min(tdd - qd) = {margin:.3e} over {result.coords.shape[0]} "
+    detail = (f"min(tdd - qd) = {margin:.3e} over {result.table.shape[0]} "
               f"points of the fig4 dataset (>= -1e-9)")
     return CheckResult("tdd-dominates-qd(fig4)", passed, detail)
 

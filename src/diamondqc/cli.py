@@ -98,7 +98,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {result.coords.shape[0]} rows to {args.out}", file=sys.stderr)
+    print(f"wrote {result.table.shape[0]} rows to {args.out}", file=sys.stderr)
     if result.diagnostics.get("psd_violations"):
         print(f"warning: {result.diagnostics['psd_violations']} PSD-flagged rows",
               file=sys.stderr)

@@ -10,6 +10,8 @@ axis order, so the bytes do not depend on the core count.
 """
 from __future__ import annotations
 
+import ctypes
+import math
 import mmap
 import os
 from dataclasses import dataclass, field, replace
@@ -29,11 +31,6 @@ DEFAULT_PROMINENCE = 0.005
 T_AXIS_FLOOR = 0.02
 
 _CHUNK_SIZE = 1 << 14
-# emit_csv formats rows a block at a time into one reusable byte matrix of
-# `_CSV_BLOCK` rows, a field of at most `_FIELD` bytes per column and a
-# newline, at most 1.2 MB. A large body is cut at block boundaries into one
-# contiguous row range per writer process, as the grid is cut at chunk
-# boundaries into one range per evaluator.
 _CSV_BLOCK = 4096
 _TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
                "eig_min", "psd_flag")
@@ -247,13 +244,17 @@ class SweepSpec:
                 raise SweepConfigError(f"parameter {name!r} is neither fixed nor an axis")
         if self.oracle_check is not None and int(self.oracle_check) < 1:
             raise SweepConfigError(f"oracle_check must be >= 1, got {self.oracle_check}")
-        t_grid = self.parameter_grid("T_over_J")
-        if np.min(t_grid) <= 0.0:
+        try:
+            grids = _grids(self)
+        except (MemoryError, ValueError) as exc:  # ValueError: past any size
+            rows = math.prod(ax.n_points for ax in self.axes)
+            raise SweepConfigError(f"a sweep of {rows} rows is too large: {exc}") from None
+        if np.min(grids[1]) <= 0.0:
             raise SweepConfigError("T_over_J <= 0 in grid")
         # The overflow scale grows with each |coupling| and with 1 / T, so the
         # grid's worst point pairs the largest magnitudes with the smallest T.
-        worst = [np.max(np.abs(self.parameter_grid(name))) for name in PARAM_NAMES]
-        worst[1] = np.min(t_grid)
+        worst = [np.max(np.abs(grid)) for grid in grids]
+        worst[1] = np.min(grids[1])
         try:
             check_beta_energy(*worst)
         except ValueError as exc:
@@ -271,12 +272,16 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Evaluated sweep: coordinates, measure table, header metadata, diagnostics."""
+    """Evaluated sweep: measure table, header metadata, diagnostics."""
     spec: SweepSpec
-    coords: np.ndarray          # shape (n, 5), columns in PARAM_NAMES order
     table: np.ndarray           # shape (n, 7), columns qd..entropy_ab, eig_min, psd_flag
     header: dict
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Shape (n, 5), columns in PARAM_NAMES order, built at each read."""
+        return grid_coords(self.spec, _grids(self.spec), np.arange(self.table.shape[0]))
 
     def column(self, name: str) -> np.ndarray:
         if name in PARAM_NAMES:
@@ -288,7 +293,7 @@ class SweepResult:
 
     def line(self, axis_name: str, **fixed_coords):
         """Extract (x, y-dict) along one axis with the other coordinates pinned."""
-        mask = np.ones(self.coords.shape[0], dtype=bool)
+        mask = np.ones(self.table.shape[0], dtype=bool)
         for name, value in fixed_coords.items():
             mask &= np.isclose(self.column(name), value, rtol=0.0, atol=1e-9)
         x = self.column(axis_name)[mask]
@@ -297,27 +302,29 @@ class SweepResult:
         return x[order], ys
 
 
-def grid_coords(spec: SweepSpec) -> np.ndarray:
-    """Flattened row-major coordinates, one column per parameter name."""
-    grids = [ax.grid() for ax in spec.axes]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = [m.ravel(order="C") for m in mesh]
-    n = flat[0].size
-    coords = np.empty((n, len(PARAM_NAMES)))
-    axis_index = {ax.name: k for k, ax in enumerate(spec.axes)}
-    for j, name in enumerate(PARAM_NAMES):
-        if name in axis_index:
-            coords[:, j] = flat[axis_index[name]]
-        else:
-            coords[:, j] = float(spec.fixed[name])
-    return coords
+def _grids(spec: SweepSpec) -> list:
+    return [spec.parameter_grid(name) for name in PARAM_NAMES]
+
+
+def _grid_indices(spec: SweepSpec, rows: np.ndarray) -> list:
+    """Each parameter's index into its grid in `_grids(spec)` at `rows`: the
+    one map from rows to grid points. Row r of a two-axis sweep lies at
+    (r // n2, r % n2) on its axes, n2 being the second axis's point count,
+    and at r on a single axis; a fixed parameter lies at 0."""
+    on_axes = divmod(rows, spec.axes[1].n_points) if len(spec.axes) == 2 else (rows,)
+    at = {ax.name: index for ax, index in zip(spec.axes, on_axes)}
+    return [at.get(name, 0) for name in PARAM_NAMES]
+
+
+def grid_coords(spec: SweepSpec, grids: list, rows: np.ndarray) -> np.ndarray:
+    """The coordinates of `rows`, one column per parameter; `grids` is `_grids(spec)`."""
+    return np.column_stack([np.broadcast_to(grid[index], len(rows))
+                            for grid, index in zip(grids, _grid_indices(spec, rows))])
 
 
 def _chunk_measures(coords_chunk: np.ndarray, out: np.ndarray) -> None:
     """Evaluate one chunk of coordinates into its (rows, 7) slice of the table."""
-    j0, t, h, gamma, jz = (coords_chunk[:, k] for k in range(5))
-    entries = thermal_entries_grid(j0, t, h, gamma, jz)
-    vals = x_state_measures(*entries)
+    vals = x_state_measures(*thermal_entries_grid(*coords_chunk.T))
     for k, key in enumerate(_TABLE_KEYS):
         out[:, k] = vals[key]
 
@@ -351,10 +358,10 @@ def _build_header(spec: SweepSpec, seed: int, n_rows: int,
 def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     """Evaluate every grid point of a validated spec.
 
-    Rows are evaluated in chunks of `_CHUNK_SIZE`, each written into its
-    slice of one (n, 7) table in a shared anonymous mapping. The chunks are
-    cut into `_ranges` contiguous ranges: this process evaluates the first,
-    and a forked child evaluates each other range into the same table.
+    Rows are evaluated in chunks of `_CHUNK_SIZE`, at coordinates built by
+    `grid_coords`, each into its slice of one (n, 7) table in a shared
+    anonymous mapping. The chunks are cut into `_ranges` contiguous ranges:
+    this process evaluates the first, and a forked child each other range.
     Every row depends on its own coordinates only, so neither the chunk
     size nor the number of ranges changes the result. Once every range is
     done, the oracle spot checks search their states on every usable core
@@ -368,15 +375,27 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     spec.validate()
     if int(seed) < 0:
         raise SweepConfigError(f"seed must be >= 0, got {seed}")
-    coords = grid_coords(spec)
-    n = coords.shape[0]
+    n = math.prod(ax.n_points for ax in spec.axes)
     width = len(_TABLE_KEYS)
-    table = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=float).reshape(n, width)
+    try:
+        table = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=float).reshape(n, width)
+    except OSError as exc:
+        raise SweepConfigError(f"a sweep of {n} rows is too large: {exc}") from None
+    grids = _grids(spec)
+    # A chunk's 16,384-float temporaries are 128 KiB, glibc's first mmap
+    # threshold: each is mapped and faulted in afresh unless a large free has
+    # raised it. So, for the whole process, keep blocks under 32 MiB on the heap
+    # (M_MMAP_THRESHOLD, -3) and trim it only past 64 MiB (M_TRIM_THRESHOLD, -1).
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        libc.mallopt(-3, 32 << 20)
+        libc.mallopt(-1, 64 << 20)
 
     def evaluate(k, a, b):
         for i in range(a, b, _CHUNK_SIZE):
             j = min(i + _CHUNK_SIZE, b)
-            _chunk_measures(coords[i:j], table[i:j])
+            _chunk_measures(grid_coords(spec, grids, np.arange(i, j)), table[i:j])
 
     _run_ranges(_ranges(n, _CHUNK_SIZE), evaluate)
 
@@ -384,7 +403,7 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     if spec.oracle_check is not None:
         from .oracle import qd_bruteforce, tdd_bruteforce
         idxs = np.arange(0, n, min(int(spec.oracle_check), n))
-        entries = thermal_entries_grid(*(coords[idxs, k] for k in range(5)))
+        entries = thermal_entries_grid(*grid_coords(spec, grids, idxs).T)
         states = [DimerDensityMatrix(*(float(e[i]) for e in entries))
                   for i in range(idxs.size)]
         tdd, qd = _search_states(
@@ -396,59 +415,42 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
                                  in zip(idxs.tolist(), qd_res, tdd_res)]
 
     header = _build_header(spec, seed, n, diagnostics, label=label)
-    return SweepResult(spec=spec, coords=coords, table=table,
-                       header=header, diagnostics=diagnostics)
+    return SweepResult(spec=spec, table=table, header=header, diagnostics=diagnostics)
 
 
-def _write_rows(fh, coords: np.ndarray, table: np.ndarray) -> None:
-    """Write one CSV row per row of `coords` and `table` to the binary file
-    `fh`, a block of `_CSV_BLOCK` rows at a time. Each column of a block
-    is a field of byte slots from `_fmt_bytes`, whose free first slot takes
-    the comma before it; the fields and a newline are joined into one byte
-    matrix, allocated once, and written with their NUL bytes deleted.
+def _grid_fields(spec: SweepSpec) -> list:
+    """Each parameter's grid values as rows of `_fmt_bytes`, a comma in the
+    free first slot (none in the first column), unused trailing slots cut."""
+    fields = []
+    for grid in _grids(spec):
+        text = np.concatenate([_fmt_bytes(grid[i:i + _CSV_BLOCK])
+                               for i in range(0, grid.size, _CSV_BLOCK)])
+        text[:, 0] = ord(",")
+        fields.append(text[:, :np.flatnonzero(text.any(axis=0))[-1] + 1])
+    fields[0] = fields[0][:, 1:]
+    return fields
 
-    The coordinate and psd_flag columns hold few distinct values in a
-    block. A column whose bits are all equal is formatted once and
-    broadcast; any other has each distinct bit pattern formatted once and
-    gathered into its rows (so -0.0 stays "-0" either way). The trailing
-    slots that none of its values uses are dropped. The six measure
-    columns are formatted per row, as one contiguous run of fields.
-    Every float reads as "%.12g" writes it, by the rule of `_fmt_bytes`."""
-    n = coords.shape[0]
-    block = np.empty(_CSV_BLOCK * (len(CSV_COLUMNS) * _FIELD + 1), dtype=np.uint8)
-    newline = np.full((_CSV_BLOCK, 1), ord("\n"), dtype=np.uint8)
-    for i in range(0, n, _CSV_BLOCK):
-        rows = _fill_block(block, newline, coords[i:i + _CSV_BLOCK], table[i:i + _CSV_BLOCK])
+
+def _write_rows(fh, spec: SweepSpec, fields: list, table: np.ndarray,
+                a: int, b: int) -> None:
+    """Write rows a..b-1 of a sweep of `spec` to the binary file `fh`, a block
+    of `_CSV_BLOCK` rows at a time, into one byte matrix allocated once: each
+    parameter's field gathered from `_grid_fields` at the rows'
+    `_grid_indices`, then the table's, formatted by `_fmt_bytes` with a comma
+    in each free first slot, and a newline. NUL bytes are deleted."""
+    width = sum(f.shape[1] for f in fields) + table.shape[1] * _FIELD + 1
+    block = np.empty(_CSV_BLOCK * width, dtype=np.uint8)
+    for i in range(a, b, _CSV_BLOCK):
+        j = min(i + _CSV_BLOCK, b)
+        rows = block[:(j - i) * width].reshape(j - i, width)
+        start = 0
+        for text, index in zip(fields, _grid_indices(spec, np.arange(i, j))):
+            rows[:, start:start + text.shape[1]] = text[index]
+            start += text.shape[1]
+        rows[:, start:-1] = _fmt_bytes(table[i:j]).reshape(j - i, -1)
+        rows[:, start:-1:_FIELD] = ord(",")
+        rows[:, -1] = ord("\n")
         fh.write(rows.tobytes().translate(None, b"\0"))
-
-
-def _fill_block(block, newline, c, t):
-    """The rows of one block, as a (rows, width) view of the front of
-    `block`: the fields of `c` and `t`, then the newline."""
-    k = c.shape[0]
-    distinct = []
-    for col in (*c.T, t[:, 6]):
-        bits = col.view(np.int64)
-        if (bits == bits[0]).all():
-            distinct.append((bits[:1], None))
-        else:
-            distinct.append(np.unique(bits, return_inverse=True))
-    text = _fmt_bytes(np.concatenate([bits.view(float) for bits, _ in distinct]
-                                     + [t[:, :6].ravel()]))
-    text[:, 0] = ord(",")
-    fields, start = [], 0
-    for bits, inverse in distinct:
-        part = text[start:start + bits.size]
-        used = np.flatnonzero(part.any(axis=0))
-        part = part[:, :used[-1] + 1]
-        fields.append(np.broadcast_to(part, (k, part.shape[1])) if inverse is None
-                      else np.take(part, inverse, axis=0))
-        start += bits.size
-    fields[0] = fields[0][:, 1:]  # no comma before the first column
-    fields[5:5] = [text[start:].reshape(k, 6 * _FIELD)]
-    fields.append(newline[:k])
-    width = sum(f.shape[1] for f in fields)
-    return np.concatenate(fields, axis=1, out=block[:k * width].reshape(k, width))
 
 
 def _ranges(n: int, unit: int) -> list:
@@ -560,23 +562,21 @@ def emit_csv(result: SweepResult, path) -> None:
     order once the child has exited. The bytes do not depend on the number
     of writers, and `path` may be a pipe such as /dev/stdout.
     """
-    coords, table = result.coords, result.table
-    cuts = _ranges(coords.shape[0], _CSV_BLOCK)
+    spec, table = result.spec, result.table
+    fields = _grid_fields(spec)
+    cuts = _ranges(table.shape[0], _CSV_BLOCK)
     fds = []
 
     def write(k, a, b):
-        if k == 0:
-            _write_rows(fh, coords[a:b], table[a:b])
-            fh.flush()
-            return
-        with open(fds[k - 1], "wb", closefd=False) as part:
-            _write_rows(part, coords[a:b], table[a:b])
+        with open(fds[k - 1] if k else fh.fileno(), "wb", closefd=False) as part:
+            _write_rows(part, spec, fields, table, a, b)
 
     try:
         with open(path, "wb") as fh:
             head = "".join(f"# {key} = {value}\n"
                            for key, value in result.header.items())
             fh.write((head + ",".join(CSV_COLUMNS) + "\n").encode())
+            fh.flush()
             try:
                 for _ in cuts[2:]:
                     fds.append(os.memfd_create("diamondqc-csv"))

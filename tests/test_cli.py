@@ -145,6 +145,23 @@ class TestSweep:
             "J0/J = 0, h/J = 1e+10, gamma = 0, Jz/J = 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset, points, rows", [
+        # a field axis too large to build, refused by the spec's checks
+        ("fig4a", 10 ** 15, 2 * 10 ** 15),
+        # axes of 80 MB that build, and a 5.6 PB table, past any address
+        # space, that cannot be mapped
+        ("fig2a", 10 ** 7, 10 ** 14),
+    ], ids=["axis", "table"])
+    def test_oversized_grid_is_refused(self, preset, points, rows, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--preset", preset, "--points", str(points),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a sweep of {rows} rows is too large: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     def test_points_requires_preset(self, tmp_path, capsys):
         cfg = tmp_path / "s.ini"
         cfg.write_text(

@@ -29,6 +29,16 @@ from diamondqc.sweep import (_CHUNK_SIZE, _CSV_BLOCK, CSV_COLUMNS,
                              with_oracle_check)
 
 
+def full_grid(spec):
+    """The (n, 5) coordinates of every row, in PARAM_NAMES order, from a
+    row-major meshgrid of the axes: the reference for `grid_coords`."""
+    mesh = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+    on_axes = {ax.name: m.ravel() for ax, m in zip(spec.axes, mesh)}
+    return np.column_stack([on_axes[name] if name in on_axes
+                            else np.full(mesh[0].size, float(spec.fixed[name]))
+                            for name in PARAM_NAMES])
+
+
 def small_spec(n1=3, n2=4):
     return SweepSpec(
         fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3},
@@ -95,13 +105,16 @@ def force_ranges(monkeypatch, count):
 
 
 def random_result(n, seed=0):
-    """A result of n rows of random values on no grid, with repeats and
-    signed zeros in the coordinate and psd_flag columns."""
-    values = np.random.default_rng(seed).normal(size=(n, 12))
-    values[:, 2] = np.resize([0.0, -0.0, 1.5], n)
-    values[:, 11] = np.resize([1.0, 0.0, 1.0, -0.0], n)
-    return SweepResult(spec=small_spec(2, 2), coords=values[:, :5],
-                       table=values[:, 5:], header={"n_rows": str(n)})
+    """A result of n rows of random measures on the first n rows of a grid
+    whose second axis repeats signed zeros, with repeats and signed zeros
+    in the psd_flag column."""
+    table = np.random.default_rng(seed).normal(size=(n, 7))
+    table[:, 6] = np.resize([1.0, 0.0, 1.0, -0.0], n)
+    spec = SweepSpec(
+        fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3},
+        axes=(Axis("T_over_J", 0.2, 1.5, -(-n // 3)),
+              Axis.from_values("h_over_J", (0.0, -0.0, 1.5)))).validate()
+    return SweepResult(spec=spec, table=table, header={"n_rows": str(n)})
 
 
 class TestAxis:
@@ -275,13 +288,52 @@ class TestGridCoords:
             fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3},
             axes=(Axis.from_values("h_over_J", (1.0, 2.0)),
                   Axis.from_values("T_over_J", (0.2, 0.5, 0.7)))).validate()
-        coords = grid_coords(spec)
+        coords = grid_coords(spec, sweep._grids(spec), np.arange(6))
         assert coords.shape == (6, 5)
         h = coords[:, PARAM_NAMES.index("h_over_J")]
         t = coords[:, PARAM_NAMES.index("T_over_J")]
         assert_allclose(h, [1, 1, 1, 2, 2, 2])
         assert_allclose(t, [0.2, 0.5, 0.7, 0.2, 0.5, 0.7])
         assert_allclose(coords[:, PARAM_NAMES.index("gamma")], 0.5)
+
+    AXES = {"linear": Axis("J0_over_J", -2.0, 2.0, 37),
+            "log": Axis("T_over_J", 0.002, 3.0, 29, spacing="log"),
+            "values": Axis.from_values("h_over_J", (0.3, -0.0, 1e-300, 0.0, -2.5))}
+
+    @pytest.mark.parametrize("kinds", [("linear",), ("log",), ("values",),
+                                       ("linear", "log"), ("log", "values"),
+                                       ("values", "linear")])
+    def test_rows_match_the_full_grid(self, kinds):
+        # Any selection of rows, in any order and with repeats, carries the
+        # bits of those rows of the row-major grid.
+        axes = tuple(self.AXES[k] for k in kinds)
+        fixed = {name: 0.5 if name == "T_over_J" else -0.25 for name in PARAM_NAMES
+                 if name not in {ax.name for ax in axes}}
+        spec = SweepSpec(fixed=fixed, axes=axes).validate()
+        want = full_grid(spec)
+        n = want.shape[0]
+        rows = np.r_[np.arange(n), np.random.default_rng(3).integers(0, n, 200), n - 1, 0]
+        got = grid_coords(spec, sweep._grids(spec), rows)
+        assert got.tobytes() == want[rows].tobytes()
+
+    def test_no_coordinate_array_spans_more_than_a_chunk(self, tmp_path, monkeypatch):
+        # A sweep of three chunks and a ragged fourth, evaluated, checked by
+        # the oracles and written in this process, maps rows to grid points
+        # a chunk or a CSV block at a time; only the spot checks, one row in
+        # 2**14 here, take their rows at once.
+        force_ranges(monkeypatch, 1)
+        spans = []
+        for name in ("grid_coords", "_grid_indices"):
+            fn = getattr(sweep, name)
+            monkeypatch.setattr(sweep, name, lambda spec, *args, fn=fn, name=name:
+                                spans.append((name, len(args[-1]))) or fn(spec, *args))
+        spec = with_oracle_check(line_spec(3 * _CHUNK_SIZE + 7), every=_CHUNK_SIZE)
+        res = run_sweep(spec)
+        emit_csv(res, tmp_path / "line.csv")
+        assert max(rows for _, rows in spans) <= _CHUNK_SIZE
+        # every row once, then the four spot-check rows
+        built = sum(rows for name, rows in spans if name == "grid_coords")
+        assert built == 3 * _CHUNK_SIZE + 7 + 4
 
 
 class TestRunSweep:
@@ -291,7 +343,7 @@ class TestRunSweep:
         for n1, n2 in ((3, 3), (130, 130)):
             spec = small_spec(n1, n2)
             res = run_sweep(spec)
-            coords = grid_coords(spec)
+            coords = full_grid(spec)
             entries = thermal_entries_grid(*(coords[:, k] for k in range(5)))
             direct = x_state_measures(*entries)
             for j, m in enumerate(MEASURE_NAMES):
@@ -351,7 +403,7 @@ class TestRunSweep:
         # Each range but the first is evaluated by a forked child into the
         # shared table; the table must equal a one-shot evaluation bit for bit.
         spec = line_spec(n)
-        coords = grid_coords(spec)
+        coords = full_grid(spec)
         vals = x_state_measures(*thermal_entries_grid(*(coords[:, k] for k in range(5))))
         direct = np.column_stack([vals[key] for key in sweep._TABLE_KEYS])
         forked = force_ranges(monkeypatch, ranges)
@@ -383,10 +435,10 @@ class TestRunSweep:
     def test_chunks_fill_one_preallocated_table(self):
         # Each chunk is written into its slice of one (n, 7) table: a shared
         # anonymous mapping, which the forked evaluators fill in place.
-        # tracemalloc does not see the mapping. At 801 points it sees the
-        # 25.7 MB of coordinates and one chunk's temporaries; evaluating
-        # the chunks into parts and copying them into the table would add
-        # a traced 35.9 MB.
+        # tracemalloc does not see the mapping. At 801 points it sees one
+        # chunk's coordinates and temporaries, 6.3 MB; evaluating the chunks
+        # into parts and copying them into the table would add a traced
+        # 35.9 MB, and the (n, 5) coordinates of every row 25.7 MB.
         spec = figure_preset("fig2a", 801)
         tracemalloc.start()
         try:
@@ -399,7 +451,7 @@ class TestRunSweep:
             owner = owner.base
         assert isinstance(owner.obj, mmap.mmap)
         assert owner.nbytes == res.table.nbytes == 801 * 801 * 7 * 8
-        assert peak <= 48 * 2 ** 20
+        assert peak <= 12 * 2 ** 20
 
     def test_oracle_check_diagnostics(self):
         spec = with_oracle_check(small_spec(2, 2), every=2)
@@ -444,7 +496,7 @@ class TestRunSweep:
             return DimerDensityMatrix(r11, r22, r33, r44, r14 + 1.0, r23)
 
         spec = with_oracle_check(small_spec(3, 4), every=2)
-        first = thermal_entries_grid(*grid_coords(spec)[0])
+        first = thermal_entries_grid(*full_grid(spec)[0])
         with pytest.raises(ValueError, match="matrix has eigenvalue") as alone:
             diamondqc.oracle.tdd_bruteforce(skewed(*map(float, first)))
         forked = force_ranges(monkeypatch, 3)
@@ -529,8 +581,7 @@ class TestCsvOutput:
 
     def test_empty_result_writes_header_only(self, tmp_path):
         spec = small_spec(2, 2)
-        res = SweepResult(spec=spec, coords=np.empty((0, 5)),
-                          table=np.empty((0, 7)),
+        res = SweepResult(spec=spec, table=np.empty((0, 7)),
                           header={"format": "diamondqc-sweep-v1",
                                   "n_rows": "0"})
         path = tmp_path / "empty.csv"
@@ -546,14 +597,13 @@ class TestCsvOutput:
     def check_blocks(tmp_path, n):
         # Rows are formatted a block at a time; each must read exactly as
         # "%.12g" writes its floats, including the awkward values, in a
-        # table whose last block is partial, down to one row. The
-        # coordinate and psd_flag columns are formatted once per distinct
-        # value in a block, and once for the block where all their bits are
-        # equal: a dedupe by float equality would write 0.0 and -0.0 alike.
-        # Column 1 is all -0.0 but for 0.0 in every other row of the second
-        # block, and column 4 all +inf. Column 3 is nan but for the last row
-        # of the first block, and all nan after it; column 11 is constant
-        # but for its last row in the second block.
+        # table whose last block is partial, down to one row. The table
+        # holds them: qd cycles through `special`; tdd is all -0.0 but for
+        # 0.0 in every other row of the second block; concurrence is nan
+        # but for the last row of the first block; mutual_info is +inf; and
+        # psd_flag cycles through 0, 1 and -0 in the first block, then is 1
+        # but for the last row of the second block. The field axis, which
+        # varies fastest, holds signed zeros and values near rounding ties.
         special = [-0.0, float("nan"), 1e-300, 0.1 + 0.2, -1e300, 2.0 ** -1074,
                    # the floats nearest to (m + 0.5) * 10**-k: in the guard
                    # band, within 0.001 of a rounding tie
@@ -566,37 +616,57 @@ class TestCsvOutput:
                    9.9999999999995, 0.99999999999995, 9.99999999999995e-05,
                    1e-4, 10.0, 1e12, 4.3e-160, 1e-290, np.nextafter(1e-290, 0),
                    2.2250738585072014e-308, 5e-324, float("inf"), -float("inf")]
-        values = np.random.default_rng(5).normal(size=(n, 12))
-        values[:, 0] = np.resize(special, n)
-        values[:, 2] = np.resize([0.0, -0.0, 0.0, 1.5, -0.0, 1.5, 1.5], n)
-        values[:, 3] = float("nan")
-        values[:, 11] = np.resize([0.0, 1.0, -0.0], n)
-        values[_CSV_BLOCK - 1:_CSV_BLOCK + 1, 1:] = 0.1 + 0.2
-        values[:, 1] = -0.0
-        values[_CSV_BLOCK:2 * _CSV_BLOCK:2, 1] = 0.0
-        values[:, 4] = float("inf")
-        values[_CSV_BLOCK:, 3] = float("nan")
-        values[_CSV_BLOCK:, 11] = 1.0
-        values[min(n, 2 * _CSV_BLOCK) - 1, 11] = 0.0
-        res = SweepResult(spec=small_spec(2, 2), coords=values[:, :5],
-                          table=values[:, 5:], header={"n_rows": str(n)})
+        field = (0.0, -0.0, 1.234567890125, 0.1000000000005, 3.141592653585e-20,
+                 -9.999999999985e-150, 5.000000000005e-06, 2.0 ** -18,
+                 9.9999999999995, 0.99999999999995, 9.99999999999995e-05,
+                 1e-4, 1e-290, np.nextafter(1e-290, 0), 5e-324, -0.0, 0.0)
+        spec = SweepSpec(
+            fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3},
+            axes=(Axis("T_over_J", 0.2, 1.5, -(-n // len(field))),
+                  Axis.from_values("h_over_J", field))).validate()
+        table = np.random.default_rng(5).normal(size=(n, 7))
+        table[:, 0] = np.resize(special, n)
+        table[:, 1] = -0.0
+        table[_CSV_BLOCK:2 * _CSV_BLOCK:2, 1] = 0.0
+        table[:, 2] = float("nan")
+        table[_CSV_BLOCK - 1, 2] = 0.1 + 0.2
+        table[:, 3] = float("inf")
+        table[:, 6] = np.resize([0.0, 1.0, -0.0], n)
+        table[_CSV_BLOCK:, 6] = 1.0
+        table[min(n, 2 * _CSV_BLOCK) - 1, 6] = 0.0
+        res = SweepResult(spec=spec, table=table, header={"n_rows": str(n)})
         path = tmp_path / "blocks.csv"
         emit_csv(res, path)
         rows = path.read_bytes().split(b"\n")[2:]
+        values = np.hstack((full_grid(spec)[:n], table))
         want = [",".join("%.12g" % v for v in row).encode() for row in values]
         assert rows == want + [b""]
-        cells = [row.split(b",") for row in rows[:7]]
-        assert [c[0] for c in cells[:6]] == [
-            b"-0", b"nan", b"1e-300", b"0.3", b"-1e+300", b"4.94065645841e-324"]
-        assert [c[2] for c in cells] == [b"0", b"-0", b"0", b"1.5", b"-0", b"1.5", b"1.5"]
-        assert {c[3] for c in cells} == {b"nan"}
-        assert [c[11] for c in cells[:3]] == [b"0", b"1", b"-0"]
         cells = [row.split(b",") for row in rows[:-1]]
-        assert {c[1] for c in cells[:_CSV_BLOCK]} == {b"-0"}
-        assert {c[4] for c in cells} == {b"inf"}
-        assert {c[3] for c in cells[_CSV_BLOCK:]} == {b"nan"} != {cells[_CSV_BLOCK - 1][3]}
+        assert [c[5] for c in cells[:6]] == [
+            b"-0", b"nan", b"1e-300", b"0.3", b"-1e+300", b"4.94065645841e-324"]
+        assert [c[2] for c in cells[:2] + cells[15:19]] == [
+            b"0", b"-0", b"-0", b"0", b"0", b"-0"]
+        assert {c[6] for c in cells[:_CSV_BLOCK]} == {b"-0"}
+        assert [c[6] for c in cells[_CSV_BLOCK:_CSV_BLOCK + 2]] == [b"0", b"-0"]
+        assert {c[7] for c in cells} - {cells[_CSV_BLOCK - 1][7]} == {b"nan"}
+        assert cells[_CSV_BLOCK - 1][7] == b"0.3"
+        assert {c[8] for c in cells} == {b"inf"}
+        assert [c[11] for c in cells[:3]] == [b"0", b"1", b"-0"]
         second = [c[11] for c in cells[_CSV_BLOCK:2 * _CSV_BLOCK]]
         assert second == [b"1"] * (len(second) - 1) + [b"0"]
+
+    def test_signed_zero_grid_values_keep_their_sign(self, tmp_path):
+        # Equal in value, 0.0 and -0.0 are two grid values: each row of a
+        # sweep over both writes its own.
+        spec = SweepSpec(
+            fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": -0.0},
+            axes=(Axis.from_values("h_over_J", (0.0, -0.0, 0.5, -0.0)),
+                  Axis.from_values("T_over_J", (0.2, 0.5)))).validate()
+        path = tmp_path / "zeros.csv"
+        emit_csv(run_sweep(spec), path)
+        cells = [row.split(",") for row in path.read_text().splitlines()[-8:]]
+        assert [c[2] for c in cells] == ["0", "0", "-0", "-0", "0.5", "0.5", "-0", "-0"]
+        assert {c[4] for c in cells} == {"-0"}
 
     @settings(max_examples=200, deadline=None)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
@@ -637,14 +707,16 @@ class TestCsvOutput:
         calls, fmt = [], sweep._fmt
         monkeypatch.setattr(sweep, "_fmt", lambda v: calls.append(v) or fmt(v))
         out = io.BytesIO()
-        sweep._write_rows(out, res.coords, res.table)
-        assert len(calls) <= 0.01 * res.coords.shape[0] * len(CSV_COLUMNS)
+        n = res.table.shape[0]
+        sweep._write_rows(out, spec, sweep._grid_fields(spec), res.table, 0, n)
+        assert len(calls) <= 0.01 * n * len(CSV_COLUMNS)
         assert out.getvalue() == per_value_csv(res).split(b"\n", len(res.header) + 1)[-1]
 
     @pytest.mark.parametrize("name", ["fig2a", "fig5"])
     def test_preset_rows_match_per_value_formatting(self, tmp_path, name):
-        # On real grids most coordinate strings come from the once-per-value
-        # formatting; every row must still read as a per-value "%.12g" join.
+        # Each coordinate string is formatted once per grid value and
+        # gathered into its rows; every row must still read as a per-value
+        # "%.12g" join.
         res = run_sweep(figure_preset(name))
         path = tmp_path / f"{name}.csv"
         emit_csv(res, path)
@@ -697,10 +769,10 @@ class TestCsvOutput:
         # in the message; every child is reaped and no stray file is left.
         parent, write_rows = os.getpid(), sweep._write_rows
 
-        def write_or_fail(fh, coords, table):
+        def write_or_fail(fh, *args):
             if (os.getpid() == parent) == (failing == "parent"):
                 raise OSError(errno.ENOSPC, "No space left on device")
-            write_rows(fh, coords, table)
+            write_rows(fh, *args)
 
         force_ranges(monkeypatch, 3)
         monkeypatch.setattr(sweep, "_write_rows", write_or_fail)
