@@ -75,29 +75,17 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
     psd_flag = eig_min >= DimerDensityMatrix.PSD_TOL
     entropy_ab = -_xlog2x(np.clip(eigs, 0.0, 1.0)).sum(axis=0)
 
-    # S(B) and the z branch share x log2 x of pb = r11 + r33. On the
-    # model's states r33 is r22, so S(B) is S(A), and the terms of pb and
-    # r33 are those of pa and r22: inner entries equal in value differ at
-    # most as signed zeros, which x log2 x maps to +0 alike, so each term
-    # is taken once with the bits of both.
-    same = np.array_equal(r22, r33)
-    pa = r11 + r22
-    xl_pa = _xlog2x(pa)
-    entropy_a = -(xl_pa + _xlog2x(1.0 - pa))
-    if same:
-        xl_pb, entropy_b = xl_pa, entropy_a
-    else:
-        pb = r11 + r33
-        xl_pb = _xlog2x(pb)
-        entropy_b = -(xl_pb + _xlog2x(1.0 - pb))
+    # S(B) and the z branch share x log2 x of pb = r11 + r33
+    entropy_a = _binary_entropy(r11 + r22)
+    pb = r11 + r33
+    xl_pb = _xlog2x(pb)
+    entropy_b = -(xl_pb + _xlog2x(1.0 - pb))
     mutual_info = entropy_a + entropy_b - entropy_ab
 
     # branch 1: the second qubit measured along z, which leaves the first
     # in (r11, r33) or (r22, r44)
-    xl_r22 = _xlog2x(r22)
-    xl_r33 = xl_r22 if same else _xlog2x(r33)
-    cond_z = -(_xlog2x(r11) + xl_r33 - xl_pb) \
-             - (xl_r22 + _xlog2x(r44) - _xlog2x(r22 + r44))
+    cond_z = -(_xlog2x(r11) + _xlog2x(r33) - xl_pb) \
+             - (_xlog2x(r22) + _xlog2x(r44) - _xlog2x(r22 + r44))
     excess = entropy_b - entropy_ab
     d1 = excess + cond_z
     # branch 2: transverse measurement; both outcomes leave the first qubit

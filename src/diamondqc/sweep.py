@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import math
 import mmap
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -190,18 +191,23 @@ class Axis:
             raise SweepConfigError(f"unknown parameter name on axis: {self.name!r}")
         if self.spacing not in ("linear", "log", "values"):
             raise SweepConfigError(f"axis {self.name}: unknown spacing {self.spacing!r}")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise SweepConfigError(f"axis {self.name}: n_points must be an integer, "
+                                   f"got {self.n_points!r}")
         if self.n_points < 2:
             raise SweepConfigError(f"axis {self.name}: n_points must be >= 2, got {self.n_points}")
         if self.spacing == "values":
             if self.values is None or len(self.values) != self.n_points:
                 raise SweepConfigError(f"axis {self.name}: values list does not match n_points")
-            if not all(np.isfinite(v) for v in self.values):
-                raise SweepConfigError(f"axis {self.name}: non-finite value in list")
+            points, what = self.values, "values"
         else:
-            if not (np.isfinite(self.start) and np.isfinite(self.stop)):
-                raise SweepConfigError(f"axis {self.name}: start/stop must be finite")
-            if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
-                raise SweepConfigError(f"axis {self.name}: log spacing needs positive bounds")
+            points, what = (self.start, self.stop), "start/stop"
+        for v in points:
+            if not (isinstance(v, numbers.Real) and np.isfinite(v)):
+                raise SweepConfigError(f"axis {self.name}: {what} must be finite "
+                                       f"real numbers, got {v!r}")
+        if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
+            raise SweepConfigError(f"axis {self.name}: log spacing needs positive bounds")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "values":
@@ -261,14 +267,6 @@ class SweepSpec:
             raise SweepConfigError(str(exc)) from None
         return self
 
-    def parameter_grid(self, name: str) -> np.ndarray:
-        for ax in self.axes:
-            if ax.name == name:
-                return ax.grid()
-        if name in self.fixed:
-            return np.array([float(self.fixed[name])])
-        raise SweepConfigError(f"parameter {name!r} is neither fixed nor an axis")
-
 
 @dataclass
 class SweepResult:
@@ -278,21 +276,21 @@ class SweepResult:
     header: dict
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def coords(self) -> np.ndarray:
-        """Shape (n, 5), columns in PARAM_NAMES order, built at each read."""
-        return grid_coords(self.spec, _grids(self.spec), np.arange(self.table.shape[0]))
-
     def column(self, name: str) -> np.ndarray:
-        if name in PARAM_NAMES:
-            return self.coords[:, PARAM_NAMES.index(name)]
-        lookup = MEASURE_NAMES + ("rho_eig_min", "psd_flag")
-        if name in lookup:
-            return self.table[:, lookup.index(name)]
-        raise KeyError(name)
+        """CSV column `name` of every row: a parameter's grid gathered at the
+        rows' `_grid_indices`, or a column of `table`."""
+        if name not in CSV_COLUMNS:
+            raise KeyError(name)
+        k = CSV_COLUMNS.index(name)
+        if k >= len(PARAM_NAMES):
+            return self.table[:, k - len(PARAM_NAMES)]
+        rows = np.arange(self.table.shape[0])
+        index = _grid_indices(self.spec, rows)[k]
+        return _grids(self.spec)[k][np.broadcast_to(index, rows.shape)]
 
     def line(self, axis_name: str, **fixed_coords):
-        """Extract (x, y-dict) along one axis with the other coordinates pinned."""
+        """Extract (x, y-dict) along one axis over the rows where each pinned
+        column lies within 1e-9 of its value, sorted stably by x."""
         mask = np.ones(self.table.shape[0], dtype=bool)
         for name, value in fixed_coords.items():
             mask &= np.isclose(self.column(name), value, rtol=0.0, atol=1e-9)
@@ -303,7 +301,11 @@ class SweepResult:
 
 
 def _grids(spec: SweepSpec) -> list:
-    return [spec.parameter_grid(name) for name in PARAM_NAMES]
+    """Each parameter's grid, in PARAM_NAMES order: an axis's points, or
+    its fixed value as a one-point grid."""
+    on_axes = {ax.name: ax.grid() for ax in spec.axes}
+    return [on_axes[name] if name in on_axes else np.array([float(spec.fixed[name])])
+            for name in PARAM_NAMES]
 
 
 def _grid_indices(spec: SweepSpec, rows: np.ndarray) -> list:

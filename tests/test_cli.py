@@ -13,6 +13,7 @@ from diamondqc.measures import correlation_report
 from diamondqc.model import thermal_state
 from diamondqc.params import ModelParams, ThermalPoint
 from diamondqc.sweep import MEASURE_NAMES, figure_preset, run_sweep
+from test_sweep import full_grid
 
 POINT_ARGS = ["point", "--gamma", "0.6", "--Jz", "0.3",
               "--J0", "0.3", "--h", "0.35", "--T", "0.5"]
@@ -58,16 +59,17 @@ class TestPoint:
         # `point` and a sweep evaluate one state path, so they print the
         # same text; the first row sits at the cold corner of the box.
         result = run_sweep(figure_preset("fig2a"))
-        rows = [0] + list(range(1, result.coords.shape[0], 4999))
+        coords = full_grid(result.spec)
+        rows = [0] + list(range(1, coords.shape[0], 4999))
         for row in rows:
-            j0, t, h, gamma, jz = (repr(float(v)) for v in result.coords[row])
+            j0, t, h, gamma, jz = (repr(float(v)) for v in coords[row])
             assert main(["point", "--J0", j0, "--T", t, "--h", h,
                          "--gamma", gamma, "--Jz", jz]) == 0
             printed = capsys.readouterr().out.splitlines()
             want = [f"{key}=%.12g" % result.column(key)[row]
                     for key in MEASURE_NAMES]
             assert printed[:len(MEASURE_NAMES)] == want, (j0, t)
-        assert result.coords[0].tolist() == [-2.0, 0.02, 0.27, 0.95, 0.0]
+        assert coords[0].tolist() == [-2.0, 0.02, 0.27, 0.95, 0.0]
 
     def test_tdd_is_not_lost_to_cancellation(self, capsys):
         # The closed form evaluated in 60-digit arithmetic on the same entries

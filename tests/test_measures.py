@@ -300,8 +300,8 @@ class TestReferenceForms:
             assert same_bits(measures._xlog2x(v), reference_xlog2x(v))
 
     def test_sweep_states_match_reference_bitwise(self):
-        # The model's states have r33 = r22, where S(B) and its terms are
-        # taken from S(A): F4, wide boxes, cold and hot corners and h = 0 ties.
+        # The model's states, which have r33 = r22: F4, wide boxes, cold and
+        # hot corners and h = 0 ties.
         for cols in wide_boxes().values():
             entries = thermal_entries_grid(*cols)
             got, want = x_state_measures(*entries), reference_measures(*entries)

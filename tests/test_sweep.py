@@ -49,7 +49,7 @@ def small_spec(n1=3, n2=4):
 def per_value_csv(res):
     """The CSV of a result with every float written by its own "%.12g"."""
     head = "".join(f"# {key} = {value}\n" for key, value in res.header.items())
-    rows = np.hstack((res.coords, res.table)).tolist()
+    rows = np.hstack((full_grid(res.spec)[:len(res.table)], res.table)).tolist()
     body = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
     return (head + ",".join(CSV_COLUMNS) + "\n" + body).encode()
 
@@ -152,6 +152,24 @@ class TestAxis:
             Axis("T_over_J", 0.1, np.inf, 5).check()
         with pytest.raises(SweepConfigError, match="log spacing"):
             Axis("h_over_J", -1.0, 1.0, 5, spacing="log").check()
+
+    @pytest.mark.parametrize("axis, match", [
+        (Axis("T_over_J", 0.2, 1.0, 3.0), "n_points must be an integer, got 3.0"),
+        (Axis("T_over_J", 0.2, 1.0, "3"), "n_points must be an integer, got '3'"),
+        (Axis("T_over_J", "a", 1.0, 3), "start/stop must be finite real numbers, got 'a'"),
+        (Axis("T_over_J", 0.2, 1.0, 3, spacing="values", values=("a", "b", "c")),
+         "values must be finite real numbers, got 'a'"),
+        (Axis("T_over_J", 0.2, 1.0, np.int64(3)), None)])
+    def test_field_types(self, axis, match):
+        # Malformed fields are refused as a config error naming the axis, not
+        # a TypeError from deep in the grid; NumPy integers count as integers.
+        spec = SweepSpec(fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3,
+                                "h_over_J": 0.1}, axes=(axis,))
+        if match is None:
+            assert run_sweep(spec).table.shape == (3, 7)
+        else:
+            with pytest.raises(SweepConfigError, match=re.escape(f"axis T_over_J: {match}")):
+                spec.validate()
 
 
 class TestSweepSpecValidation:
@@ -552,6 +570,68 @@ class TestRunSweep:
         assert_allclose(x, np.linspace(0.2, 1.5, 4))
         mask = np.isclose(res.column("h_over_J"), 0.0)
         assert_allclose(ys["qd"], res.column("qd")[mask])
+
+
+def line_reference(coords, table, axis_name, **pins):
+    """`SweepResult.line` by its rule over every row of the (n, 5) `coords`:
+    each pin held within 1e-9, then a stable sort by x."""
+    cols = dict(zip(CSV_COLUMNS, np.hstack((coords, table)).T))
+    mask = np.ones(len(table), dtype=bool)
+    for name, value in pins.items():
+        mask &= np.isclose(cols[name], value, rtol=0.0, atol=1e-9)
+    order = np.argsort(cols[axis_name][mask], kind="stable")
+    return cols[axis_name][mask][order], {m: cols[m][mask][order] for m in MEASURE_NAMES}
+
+
+class TestColumnAndLine:
+    T = Axis("T_over_J", 0.2, 1.5, 4)
+    FIXED = {"J0_over_J": -0.3, "T_over_J": 0.7, "h_over_J": 0.1, "gamma": 0.5,
+             "Jz_over_J": 0.3}
+    # axes, then lines as (x axis, pins, rows on the line)
+    CASES = {
+        "decreasing": ((Axis("J0_over_J", 2.0, -2.0, 9), T),
+                       [("J0_over_J", {"T_over_J": T.grid()[2]}, 9),
+                        ("T_over_J", {"J0_over_J": 0.5}, 4)]),
+        "log": ((Axis("h_over_J", -1.0, 1.0, 5),
+                 Axis("T_over_J", 0.002, 3.0, 7, spacing="log")),
+                [("T_over_J", {"h_over_J": 0.5}, 7),
+                 ("h_over_J", {"T_over_J": 0.002}, 5)]),
+        "values": ((Axis.from_values("h_over_J", (0.5, 0.0, -0.3, -0.0, 1e-10)), T),
+                   [("h_over_J", {"T_over_J": 1.5}, 5),
+                    ("T_over_J", {"h_over_J": 0.0}, 12),
+                    ("T_over_J", {"h_over_J": -0.0, "gamma": 0.5}, 12)]),
+        "one axis": ((Axis("h_over_J", 2.0, -2.0, 11),),
+                     [("h_over_J", {}, 11),
+                      ("h_over_J", {"T_over_J": 0.7}, 11),
+                      ("h_over_J", {"T_over_J": 0.7 + 1e-6}, 0)]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_full_grid_bitwise(self, case, monkeypatch):
+        # Both accessors read each row's coordinates through `_grid_indices`
+        # and never build the (n, 5) table.
+        calls = []
+        monkeypatch.setattr(sweep, "grid_coords", lambda *args: calls.append(args))
+        axes, lines = self.CASES[case]
+        fixed = {k: v for k, v in self.FIXED.items() if k not in {ax.name for ax in axes}}
+        spec = SweepSpec(fixed=fixed, axes=axes).validate()
+        coords = full_grid(spec)
+        table = np.random.default_rng(4).normal(size=(len(coords), 7))
+        res = SweepResult(spec=spec, table=table, header={})
+        for name, want in zip(CSV_COLUMNS, np.hstack((coords, table)).T):
+            assert res.column(name).tobytes() == want.tobytes(), name
+        for axis_name, pins, size in lines:
+            x, ys = res.line(axis_name, **pins)
+            want_x, want_ys = line_reference(coords, table, axis_name, **pins)
+            assert x.size == size
+            assert x.tobytes() == want_x.tobytes()
+            assert ys.keys() == want_ys.keys()
+            assert all(ys[m].tobytes() == want_ys[m].tobytes() for m in ys), (axis_name, pins)
+        for read in (lambda: res.column("entropy"), lambda: res.line("entropy"),
+                     lambda: res.line(axes[0].name, entropy=0.0)):
+            with pytest.raises(KeyError, match="entropy"):
+                read()
+        assert calls == []
 
 
 class TestCsvOutput:
