@@ -114,12 +114,12 @@ def check_beta_energy(j0, t, h, gamma, jz) -> None:
     beta itself, is at most that scale, so below it none overflows and no
     entry is nan; the factor two leaves room for their rounding. Broadcasts;
     the scale grows with each |coupling| and with 1 / T."""
-    j0, t, h, gamma, jz = np.broadcast_arrays(j0, t, h, gamma, jz)
     with np.errstate(over="ignore"):
         scale = (2.0 * np.abs(j0) + 2.0 * np.abs(h) + np.abs(gamma) + np.abs(jz) + 1.0) / t
     over = ~(scale < 0.5 * np.finfo(float).max)
     if np.any(over):
         k = np.argmax(over)
+        j0, t, h, gamma, jz = (np.broadcast_to(v, over.shape) for v in (j0, t, h, gamma, jz))
         raise ValueError(
             f"beta * energy overflows float64 at T/J = {t.flat[k]:.6g} with "
             f"J0/J = {j0.flat[k]:.6g}, h/J = {h.flat[k]:.6g}, "
@@ -130,19 +130,21 @@ def thermal_entries_grid(j0, t, h, gamma, jz):
     """Vectorized thermal-state entries over broadcastable parameter arrays.
 
     Returns (r11, r22, r33, r44, r14, r23) as arrays of the broadcast
-    shape. Raises ValueError on a non-positive or non-finite temperature
-    and on non-finite couplings, as ThermalPoint and ModelParams do, and
-    where `check_beta_energy` does.
+    shape. A term of one parameter, such as 1 / T or g = J0 x + h, is
+    computed once per value given, before the inputs meet: a sweep passes
+    its first axis as a column and its second as a row. Raises ValueError
+    on a non-positive or non-finite temperature and on non-finite
+    couplings, as ThermalPoint and ModelParams do, and where
+    `check_beta_energy` does.
     """
-    arrs = [np.asarray(v, dtype=float) for v in (j0, t, h, gamma, jz)]
-    if np.any(arrs[1] <= 0.0) or not np.all(np.isfinite(arrs[1])):
+    j0, t, h, gamma, jz = (np.asarray(v, dtype=float) for v in (j0, t, h, gamma, jz))
+    if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
         raise ValueError("temperature grid must be finite and positive")
-    for name, a in zip(("j0", "h", "gamma", "jz"), arrs[:1] + arrs[2:]):
+    for name, a in (("j0", j0), ("h", h), ("gamma", gamma), ("jz", jz)):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"non-finite coupling {name} in grid")
-    j0a, ta, ha, ga, jza = np.broadcast_arrays(*arrs)
-    check_beta_energy(j0a, ta, ha, ga, jza)
-    blocks = _scaled_blocks(1.0 / ta, ga, jza, j0a, ha)
+    check_beta_energy(j0, t, h, gamma, jz)
+    blocks = _scaled_blocks(1.0 / t, gamma, jz, j0, h)
     lam, v1, v2 = _transfer(blocks)
     qp = v1 * v1
     q0 = v1 * v2

@@ -2,11 +2,11 @@
 
 A sweep is described by a SweepSpec: values for the five reduced
 parameters (J0_over_J, T_over_J, h_over_J, gamma, Jz_over_J), one or
-two of them promoted to grid axes. Grids are evaluated in fixed-size
-chunks that bound the memory of the intermediate arrays, and both the
-evaluation and the CSV formatting run on every usable core, each process
-over one contiguous range of rows. Rows are always emitted in row-major
-axis order, so the bytes do not depend on the core count.
+two of them promoted to grid axes. Grids are evaluated in chunks of
+whole grid lines that bound the memory of the intermediate arrays, and
+both the evaluation and the CSV formatting run on every usable core, each
+process over one contiguous range of rows. Rows are always emitted in
+row-major axis order, so the bytes do not depend on the core count.
 """
 from __future__ import annotations
 
@@ -243,13 +243,16 @@ class SweepSpec:
                 raise SweepConfigError(f"unknown parameter name in fixed block: {name!r}")
             if name in axis_names:
                 raise SweepConfigError(f"parameter {name!r} is both fixed and an axis")
-            if not np.isfinite(float(value)):
-                raise SweepConfigError(f"fixed {name} must be finite, got {value!r}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise SweepConfigError(f"fixed {name} must be a finite real, got {value!r}")
         for name in PARAM_NAMES:
             if name not in self.fixed and name not in axis_names:
                 raise SweepConfigError(f"parameter {name!r} is neither fixed nor an axis")
-        if self.oracle_check is not None and int(self.oracle_check) < 1:
-            raise SweepConfigError(f"oracle_check must be >= 1, got {self.oracle_check}")
+        every = self.oracle_check
+        if every is not None and not isinstance(every, numbers.Integral):
+            raise SweepConfigError(f"oracle_check must be an integer, got {every!r}")
+        if every is not None and every < 1:
+            raise SweepConfigError(f"oracle_check must be >= 1, got {every}")
         try:
             grids = _grids(self)
         except (MemoryError, ValueError) as exc:  # ValueError: past any size
@@ -324,9 +327,19 @@ def grid_coords(spec: SweepSpec, grids: list, rows: np.ndarray) -> np.ndarray:
                             for grid, index in zip(grids, _grid_indices(spec, rows))])
 
 
-def _chunk_measures(coords_chunk: np.ndarray, out: np.ndarray) -> None:
-    """Evaluate one chunk of coordinates into its (rows, 7) slice of the table."""
-    vals = x_state_measures(*thermal_entries_grid(*coords_chunk.T))
+def _block_coords(spec: SweepSpec, grids: list, lines: slice, cols: slice) -> list:
+    """The coordinates of the block `lines` x `cols` of the axis grid, in
+    PARAM_NAMES order: the first axis's values as a (lines, 1) column, the
+    second's as a (1, cols) row, each fixed value as a scalar."""
+    at = dict(zip((ax.name for ax in spec.axes), ((lines, None), (None, cols))))
+    return [grid[at[name]] if name in at else grid[0]
+            for name, grid in zip(PARAM_NAMES, grids)]
+
+
+def _chunk_measures(coords: list, out: np.ndarray) -> None:
+    """Evaluate the block of grid lines at `coords` (`_block_coords`) into
+    its (rows, 7) slice of the table, in row-major order."""
+    vals = x_state_measures(*(e.ravel() for e in thermal_entries_grid(*coords)))
     for k, key in enumerate(_TABLE_KEYS):
         out[:, k] = vals[key]
 
@@ -360,19 +373,22 @@ def _build_header(spec: SweepSpec, seed: int, n_rows: int,
 def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     """Evaluate every grid point of a validated spec.
 
-    Rows are evaluated in chunks of `_CHUNK_SIZE`, at coordinates built by
-    `grid_coords`, each into its slice of one (n, 7) table in a shared
-    anonymous mapping. The chunks are cut into `_ranges` contiguous ranges:
-    this process evaluates the first, and a forked child each other range.
-    Every row depends on its own coordinates only, so neither the chunk
-    size nor the number of ranges changes the result. Once every range is
-    done, the oracle spot checks search their states on every usable core
-    through `_search_states`, and their residuals are taken here; each
-    state's search value is that of a search over it alone, so the
-    diagnostics and the CSV bytes do not depend on the core count either.
-    Each PSD violation is recorded in the diagnostics but the offending
-    row is still reported. A negative seed is refused, as the oracle's
-    random generator would refuse it.
+    Rows are evaluated in chunks, each into its slice of one (n, 7) table in
+    a shared anonymous mapping. A chunk is max(1, `_CHUNK_SIZE` // n2) whole
+    lines of the second axis (n2 points, 1 on a single axis), at coordinates
+    from `_block_coords`, so the model computes each term of one parameter
+    once per axis value; a line longer than `_CHUNK_SIZE` is cut into pieces
+    of that many columns. The chunks are cut into `_ranges` contiguous
+    ranges: this process evaluates the first, and a forked child each other
+    range. Every row depends on its own coordinates only, so neither the
+    chunk shape nor the number of ranges changes the result. Once every
+    range is done, the oracle spot checks search their states on every
+    usable core through `_search_states`, and their residuals are taken
+    here; each state's search value is that of a search over it alone, so
+    the diagnostics and the CSV bytes do not depend on the core count
+    either. Each PSD violation is recorded in the diagnostics but the
+    offending row is still reported. A negative seed is refused, as the
+    oracle's random generator would refuse it.
     """
     spec.validate()
     if int(seed) < 0:
@@ -394,12 +410,18 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
         libc.mallopt(-3, 32 << 20)
         libc.mallopt(-1, 64 << 20)
 
-    def evaluate(k, a, b):
-        for i in range(a, b, _CHUNK_SIZE):
-            j = min(i + _CHUNK_SIZE, b)
-            _chunk_measures(grid_coords(spec, grids, np.arange(i, j)), table[i:j])
+    n2 = spec.axes[1].n_points if len(spec.axes) == 2 else 1
+    lines = max(1, _CHUNK_SIZE // n2)
 
-    _run_ranges(_ranges(n, _CHUNK_SIZE), evaluate)
+    def evaluate(k, a, b):
+        for i in range(a // n2, b // n2, lines):
+            last = min(i + lines, b // n2)
+            for j in range(0, n2, _CHUNK_SIZE):
+                end = min(j + _CHUNK_SIZE, n2)
+                _chunk_measures(_block_coords(spec, grids, slice(i, last), slice(j, end)),
+                                table[i * n2 + j:(last - 1) * n2 + end])
+
+    _run_ranges(_ranges(n, lines * n2), evaluate)
 
     diagnostics = {"psd_violations": int(np.sum(table[:, 6] < 0.5))}
     if spec.oracle_check is not None:

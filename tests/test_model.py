@@ -1,4 +1,5 @@
 """Tests for the closed-form thermal state and its building blocks."""
+import itertools
 import re
 import warnings
 
@@ -265,6 +266,21 @@ class TestEntriesGrid:
         with pytest.raises(ValueError, match="overflows float64 at T/J = 4.94066e-324"):
             thermal_entries_grid(0.0, 5e-324, 0.0, 0.0, 0.0)
 
+    def test_overflow_names_the_first_point_of_the_broadcast_grid(self):
+        # Inputs broadcast against each other, not materialised, name the
+        # first refused point in row-major order of the broadcast grid, as
+        # the materialised arrays do: (1e10, 1e-300) overflows, (0, 1e-300)
+        # does not.
+        args = (np.array([[0.0], [1e10], [2e10]]), np.array([[0.5, 1e-300, 1e-300]]),
+                0.25, np.array([[0.0], [0.5], [1.0]]), 0.0)
+        with pytest.raises(ValueError) as given:
+            thermal_entries_grid(*args)
+        with pytest.raises(ValueError) as materialised:
+            thermal_entries_grid(*(a.copy() for a in np.broadcast_arrays(*args)))
+        assert str(given.value) == str(materialised.value) == (
+            "beta * energy overflows float64 at T/J = 1e-300 with J0/J = 1e+10, "
+            "h/J = 0.25, gamma = 0.5, Jz/J = 0")
+
     @pytest.mark.parametrize("t_range, scale", [
         ((-300, -2), 1.0), ((4, 300), 1.0), ((-300, 300), 1e6), ((-150, 300), 1e150)])
     def test_extreme_regions_are_accepted_and_finite(self, t_range, scale):
@@ -312,6 +328,27 @@ class TestReferenceForms:
         table = np.stack(cols, axis=1)
         assert all(same_bits(g, w) for g, w in zip(
             thermal_entries_grid(*table.T), reference_entries(*cols)))
+
+
+    @pytest.mark.parametrize("box", ["free", "h-ties", "runs"])
+    def test_column_row_and_scalar_inputs_match_materialised_arrays_bitwise(self, box):
+        # A sweep chunk passes its first axis as a (k, 1) column, its second
+        # as a (1, m) row and each fixed value as a scalar. Under every such
+        # layout of the five parameters, the entries must be those of the
+        # materialised broadcast arrays, bit for bit, and writeable arrays of
+        # the broadcast shape (scalars when every input is one).
+        cols = wide_boxes()[box]
+        k, m = 9, 7
+        forms = {"column": lambda c: c[:k, None], "row": lambda c: c[k:k + m][None, :],
+                 "scalar": lambda c: c[k + m]}
+        for layout in itertools.product(forms, repeat=5):
+            args = [forms[form](c) for form, c in zip(layout, cols)]
+            full = [a.copy() for a in np.broadcast_arrays(*args)]
+            got = thermal_entries_grid(*args)
+            for g, w, r in zip(got, thermal_entries_grid(*full), reference_entries(*full)):
+                assert same_bits(g, w) and same_bits(g, r), (box, layout)
+                assert g.shape == full[0].shape, (box, layout)
+                assert g.flags.writeable or set(layout) == {"scalar"}, (box, layout)
 
 
 class TestDimerDensityMatrix:

@@ -1,12 +1,14 @@
 """Tests for sweep configuration, execution, and CSV output."""
 import errno
 import io
+import math
 import mmap
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +39,14 @@ def full_grid(spec):
     return np.column_stack([on_axes[name] if name in on_axes
                             else np.full(mesh[0].size, float(spec.fixed[name]))
                             for name in PARAM_NAMES])
+
+
+def flat_table(spec):
+    """The (n, 7) table of a sweep evaluated over the flat coordinate
+    columns of `full_grid`, each row from its own coordinates alone."""
+    coords = full_grid(spec)
+    vals = x_state_measures(*thermal_entries_grid(*(coords[:, k] for k in range(5))))
+    return np.column_stack([vals[key] for key in sweep._TABLE_KEYS])
 
 
 def small_spec(n1=3, n2=4):
@@ -215,11 +225,39 @@ class TestSweepSpecValidation:
                              "Jz_over_J": 0.0, "h_over_J": 0.0},
                       axes=(Axis("T_over_J", 0.1, 1.0, 3),)).validate()
 
+    @pytest.mark.parametrize("value", ["a", None, "0.5", 1j, [0.5], np.inf,
+                                       np.float32(0.5), np.int64(1), Fraction(1, 2)])
+    def test_malformed_fixed_value_is_named(self, value):
+        # A fixed value that is not a finite real number is refused as a
+        # config error naming the parameter, not a bare ValueError or
+        # TypeError; NumPy numbers and fractions are real numbers.
+        spec = SweepSpec(fixed={"gamma": value, "J0_over_J": 0.0, "Jz_over_J": 0.0,
+                                "h_over_J": 0.0}, axes=(Axis("T_over_J", 0.1, 1.0, 3),))
+        if isinstance(value, (np.number, Fraction)):
+            assert spec.validate() is spec
+        else:
+            with pytest.raises(SweepConfigError, match=re.escape(
+                    f"fixed gamma must be a finite real, got {value!r}")):
+                spec.validate()
+
     def test_oracle_check_bounds(self):
         base = small_spec()
         with pytest.raises(SweepConfigError, match="oracle_check"):
             SweepSpec(fixed=base.fixed, axes=base.axes,
                       oracle_check=0).validate()
+
+    @pytest.mark.parametrize("every", [2.5, 2.0, "x", "2", None, np.int64(2), True])
+    def test_oracle_check_must_be_an_integer(self, every):
+        # A non-integer interval is refused, not truncated (2.5 would check
+        # every 2nd row) or leaked as a bare ValueError; NumPy integers count.
+        spec = SweepSpec(fixed=small_spec().fixed, axes=small_spec().axes,
+                         oracle_check=every)
+        if every is None or isinstance(every, (np.integer, bool)):
+            assert spec.validate() is spec
+        else:
+            with pytest.raises(SweepConfigError, match=re.escape(
+                    f"oracle_check must be an integer, got {every!r}")):
+                spec.validate()
 
     def test_non_positive_temperature_grid(self):
         with pytest.raises(SweepConfigError, match="T_over_J"):
@@ -334,24 +372,62 @@ class TestGridCoords:
         got = grid_coords(spec, sweep._grids(spec), rows)
         assert got.tobytes() == want[rows].tobytes()
 
+    # one axis of three chunks and a ragged fourth, 182 lines a chunk, and
+    # lines split into a chunk and 5 columns
+    CHUNKED_AXES = [
+        (Axis("h_over_J", -2.0, 2.0, 3 * _CHUNK_SIZE + 7),),
+        (Axis("J0_over_J", -2.0, 2.0, 700), Axis("T_over_J", 0.2, 1.5, 90)),
+        (Axis("J0_over_J", -2.0, 2.0, 3), Axis("T_over_J", 0.2, 1.5, _CHUNK_SIZE + 5))]
+
     def test_no_coordinate_array_spans_more_than_a_chunk(self, tmp_path, monkeypatch):
-        # A sweep of three chunks and a ragged fourth, evaluated, checked by
-        # the oracles and written in this process, maps rows to grid points
-        # a chunk or a CSV block at a time; only the spot checks, one row in
-        # 2**14 here, take their rows at once.
+        # A sweep evaluated, checked by the oracles and written in this
+        # process maps rows to grid points a chunk or a CSV block at a time.
+        # Each chunk's coordinates are its lines as a column, its columns as
+        # a row and scalars, at most a chunk of rows in all, and every row is
+        # evaluated once; only the spot checks, one row in 2**14 here, take
+        # their rows at once, through `grid_coords`.
         force_ranges(monkeypatch, 1)
-        spans = []
+        spans, chunks = [], []
         for name in ("grid_coords", "_grid_indices"):
             fn = getattr(sweep, name)
             monkeypatch.setattr(sweep, name, lambda spec, *args, fn=fn, name=name:
                                 spans.append((name, len(args[-1]))) or fn(spec, *args))
-        spec = with_oracle_check(line_spec(3 * _CHUNK_SIZE + 7), every=_CHUNK_SIZE)
-        res = run_sweep(spec)
-        emit_csv(res, tmp_path / "line.csv")
-        assert max(rows for _, rows in spans) <= _CHUNK_SIZE
-        # every row once, then the four spot-check rows
-        built = sum(rows for name, rows in spans if name == "grid_coords")
-        assert built == 3 * _CHUNK_SIZE + 7 + 4
+        chunk_measures = sweep._chunk_measures
+
+        def record(coords, out):
+            chunks.append(([np.shape(c) for c in coords],
+                           out.__array_interface__["data"][0], out.shape[0]))
+            chunk_measures(coords, out)
+
+        monkeypatch.setattr(sweep, "_chunk_measures", record)
+        for axes in self.CHUNKED_AXES:
+            spans.clear()
+            chunks.clear()
+            fixed = {name: 0.5 if name == "T_over_J" else -0.25 for name in PARAM_NAMES
+                     if name not in {ax.name for ax in axes}}
+            spec = SweepSpec(fixed=fixed, axes=axes, oracle_check=_CHUNK_SIZE).validate()
+            n = math.prod(ax.n_points for ax in axes)
+            res = run_sweep(spec)
+            emit_csv(res, tmp_path / "grid.csv")
+            assert max(rows for _, rows in spans) <= _CHUNK_SIZE
+            assert sum(rows for name, rows in spans
+                       if name == "grid_coords") == -(-n // _CHUNK_SIZE)
+            index = [PARAM_NAMES.index(ax.name) for ax in axes]
+            n2 = axes[1].n_points if len(axes) == 2 else 1
+            starts = []
+            for shapes, address, rows in chunks:
+                lines = shapes[index[0]][0]
+                cols = shapes[index[1]][1] if len(axes) == 2 else 1
+                assert shapes[index[0]] == (lines, 1)
+                assert len(axes) == 1 or shapes[index[1]] == (1, cols)
+                assert all(shape == () for k, shape in enumerate(shapes) if k not in index)
+                assert rows == lines * cols <= _CHUNK_SIZE
+                assert lines == 1 or cols == n2
+                starts.append((address - res.table.__array_interface__["data"][0])
+                              // res.table.strides[0])
+            # the chunks tile the table in row order: every row once
+            assert np.array_equal(np.cumsum([0] + [rows for *_, rows in chunks]),
+                                  starts + [n])
 
 
 class TestRunSweep:
@@ -421,13 +497,43 @@ class TestRunSweep:
         # Each range but the first is evaluated by a forked child into the
         # shared table; the table must equal a one-shot evaluation bit for bit.
         spec = line_spec(n)
-        coords = full_grid(spec)
-        vals = x_state_measures(*thermal_entries_grid(*(coords[:, k] for k in range(5))))
-        direct = np.column_stack([vals[key] for key in sweep._TABLE_KEYS])
+        direct = flat_table(spec)
         forked = force_ranges(monkeypatch, ranges)
         res = run_sweep(spec)
         assert len(forked) == ranges - 1
         assert res.table.tobytes() == direct.tobytes()
+
+    # Axes, evaluated with a chunk of 16 rows: several lines per chunk and a
+    # ragged last chunk, lines of exactly one chunk, lines split into pieces
+    # of 16, 16 and 5 columns, and one axis.
+    BLOCKS = {
+        "lines": (Axis("J0_over_J", -2.0, 2.0, 23),
+                  Axis("T_over_J", 0.02, 2.0, 5, spacing="log")),
+        "values row": (Axis("h_over_J", -2.0, 2.0, 41),
+                       Axis.from_values("T_over_J", (0.2, 0.5, 0.7, 1.5))),
+        "whole chunk": (Axis("T_over_J", 0.002, 3.0, 7, spacing="log"),
+                        Axis("J0_over_J", 2.0, -2.0, 16)),
+        "split": (Axis.from_values("h_over_J", (0.3, -0.0, 1e-300, 0.0, -2.5)),
+                  Axis("gamma", -8.0, 8.0, 37)),
+        "one axis": (Axis("T_over_J", 0.002, 3.0, 53, spacing="log"),),
+    }
+
+    @pytest.mark.parametrize("case", BLOCKS)
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    def test_line_blocks_match_the_flat_evaluation(self, monkeypatch, case, ranges):
+        # Each chunk is evaluated as a block of grid lines, its axes' values
+        # a column and a row; the table must equal the evaluation of every
+        # row from its own coordinates bit for bit.
+        axes = self.BLOCKS[case]
+        fixed = {name: 0.5 if name == "T_over_J" else -0.25 for name in PARAM_NAMES
+                 if name not in {ax.name for ax in axes}}
+        spec = SweepSpec(fixed=fixed, axes=axes).validate()
+        want = flat_table(spec)
+        monkeypatch.setattr(sweep, "_CHUNK_SIZE", 16)
+        forked = force_ranges(monkeypatch, ranges)
+        res = run_sweep(spec)
+        assert len(forked) == ranges - 1
+        assert res.table.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_evaluator_leaves_no_process(self, monkeypatch, failing):
