@@ -157,9 +157,8 @@ def _random_x_state(rng) -> DimerDensityMatrix:
 
 
 def check_qd_bruteforce() -> CheckResult:
-    """Closed-form discord against the measurement-grid search oracle."""
-    from .oracle import qd_bruteforce
-
+    """Closed-form discord against the measurement-grid search oracle
+    `qd_bruteforce`, run on every usable core."""
     rng = np.random.default_rng(202)
     states = []
     for _ in range(200):
@@ -173,7 +172,7 @@ def check_qd_bruteforce() -> CheckResult:
         states.append(_random_x_state(rng))
 
     closed = np.array([correlation_report(state).qd for state in states])
-    search = _search_states(states, lambda part: [qd_bruteforce(s) for s in part])[0]
+    search = _search_states(states, qd=True)[1]
     gaps = closed - search
     min_gap = float(gaps.min())
     worst_abs = float(np.abs(gaps).max())
@@ -186,15 +185,15 @@ def check_qd_bruteforce() -> CheckResult:
 
 
 def check_tdd_bruteforce() -> CheckResult:
-    """Closed-form trace-distance discord against the pattern-search oracle."""
-    from .oracle import tdd_bruteforce
-
+    """Closed-form trace-distance discord against the pattern-search oracle
+    `tdd_bruteforce`, its (state, start) pairs split across every usable
+    core."""
     states = [thermal_state(ModelParams(gamma=0.5, jz=0.3, j0=-0.3, h=float(h)),
                             ThermalPoint(t))
               for t in (0.2, 0.5, 0.7, 1.0, 1.5)
               for h in np.linspace(-2.0, 2.0, 20)]
     closed = np.array([correlation_report(state).tdd for state in states])
-    search = _search_states(states, lambda part: tdd_bruteforce(part, seed=0))[0]
+    search = _search_states(states, tdd_seed=0)[0]
     worst = float(np.max(np.abs(closed - search)))
     passed = worst <= 1e-4
     detail = (f"{len(states)} h-scan states: max |closed - search| = "

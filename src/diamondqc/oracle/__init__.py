@@ -5,7 +5,8 @@ to the closed-form thermodynamic limit.
 discord_search: measurement-grid minimization for quantum discord, with
 the second qubit measured.
 cq_search: classical-quantum-set minimization for trace-distance discord,
-over states classical on the first qubit, from eight fixed starts.
+over states classical on the first qubit, from eight fixed starts, each
+(state, start) pair searched on its own.
 
 Each search module holds its own NumPy kernel (cond_entropy_grid,
 trace_norm_diff_batch); discord_search takes its input validation

@@ -12,10 +12,13 @@ rho along fixed measurement axes (z, x, y and the x-z diagonal). Every
 intermediate candidate is itself a valid classical-quantum state, so the
 running best is always an upper bound on the true distance.
 
-The search carries a leading state axis: a stack of S states is searched
-in one loop, each iteration polling every active start of every state
-with one batched evaluation. Starts never interact, so each state's
-trajectory and result are those of a search over that state alone.
+The search runs on (state, start) pairs: a stack of S states has S x 8
+pairs, and any contiguous run of them is searched in one loop, each
+iteration polling every active pair with one batched evaluation. Pairs
+never interact, so each pair's trajectory and final distance are those
+of a search over that pair alone, and the pairs of one state may be
+searched in different calls, or processes, before `_best_starts` takes
+each state's best.
 """
 from __future__ import annotations
 
@@ -40,6 +43,11 @@ _DISAGREE_WARN = 1e-3
 # inputs with complex off-diagonal entries.
 _WARM_AXES = np.array([[0.0, 0.0], [0.5 * np.pi, 0.0],
                        [0.5 * np.pi, 0.5 * np.pi], [0.25 * np.pi, 0.0]])
+# A poll's 22 candidates lie on five axes, numbered as the angles of the
+# poll: 0 the pair's own axis, 1 and 2 theta +- step, 3 and 4 phi +- step.
+# Candidate 2i (2i + 1) moves coordinate i up (down), so the theta and phi
+# moves 0..3 and the coupled moves 18..21 take axes 1..4; the others keep 0.
+_POLL_AXES = np.array([1, 2, 3, 4] + [0] * 14 + [1, 2, 3, 4])
 
 
 def _project_batch(x: np.ndarray) -> np.ndarray:
@@ -67,11 +75,12 @@ def _projectors(thetas: np.ndarray, phis: np.ndarray):
     return pi0, np.eye(2, dtype=complex) - pi0
 
 
-def _chi_batch(vectors: np.ndarray) -> np.ndarray:
+def _chi_batch(vectors: np.ndarray, pis=None) -> np.ndarray:
     """The 4x4 classical-quantum states of a (..., 9) batch of feasible
-    parameter vectors (theta, phi, p, bloch0, bloch1): shape (..., 4, 4)."""
+    parameter vectors (theta, phi, p, bloch0, bloch1): shape (..., 4, 4).
+    pis is the vectors' `_projectors` pair, if the caller has it."""
     v = np.asarray(vectors, dtype=float)
-    pi0, pi1 = _projectors(v[..., 0], v[..., 1])
+    pi0, pi1 = _projectors(v[..., 0], v[..., 1]) if pis is None else pis
 
     def qubit(bloch):
         q = np.empty(bloch.shape[:-1] + (2, 2), dtype=complex)
@@ -98,22 +107,23 @@ def trace_norm_diff_batch(rho: np.ndarray, chis: np.ndarray) -> np.ndarray:
 
 
 def _dephase_batch(rho4: np.ndarray, thetas: np.ndarray,
-                   phis: np.ndarray) -> np.ndarray:
+                   phis: np.ndarray, pis=None) -> np.ndarray:
     """Parameter vectors of each state dephased along its own batch of
     measurement axes.
 
     rho4 holds S states as (S, 2, 2, 2, 2); thetas and phis are (S, k),
-    row s the axes for state s. Returns (S, k, 9). Dephasing projects rho
-    onto the classical-quantum family with the given projector pair:
+    row s the axes for state s, and pis their `_projectors` pair, if the
+    caller has it. Returns (S, k, 9). Dephasing projects rho onto the
+    classical-quantum family with the given projector pair:
     p_i = tr[(Pi_i x I) rho] and sigma_i the normalized B-side block
     tr_A[(Pi_i x I) rho (Pi_i x I)].
     """
     out = np.empty(np.shape(thetas) + (9,))
     out[..., 0] = thetas
     out[..., 1] = phis
-    for pis, j in zip(_projectors(thetas, phis), (3, 6)):
+    for pi, j in zip(_projectors(thetas, phis) if pis is None else pis, (3, 6)):
         # B-side block: tr_A[(Pi x I) rho (Pi x I)][b, d] = rho4[a, b, c, d] Pi[c, a]
-        blk = np.einsum("sabcd,sica->sibd", rho4, pis)
+        blk = np.einsum("sabcd,sica->sibd", rho4, pi)
         p = np.real(blk[..., 0, 0] + blk[..., 1, 1])
         safe = np.where(p > 1e-12, p, 1.0)
         out[..., j] = 2.0 * np.real(blk[..., 1, 0]) / safe
@@ -125,20 +135,22 @@ def _dephase_batch(rho4: np.ndarray, thetas: np.ndarray,
     return out
 
 
-def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
-    """Best-improvement compass search run on every start of every state
-    simultaneously.
+def _search_pairs(ms: np.ndarray, starts: np.ndarray, a: int = 0,
+                  b: int = None) -> np.ndarray:
+    """Best-improvement compass search run on the (state, start) pairs
+    a..b-1 simultaneously.
 
-    ms holds S states (S, 4, 4) and x0s their starts (S, k, 9); returns
-    the final distances (S, k). Each (state, start) pair keeps its own
-    step, and `owner` maps a pair to its state. Each iteration perturbs
-    every active pair along +/- each of the 9 coordinates, evaluates all
-    candidates of all states in one batched trace-norm call, moves pairs
+    ms holds S states (S, 4, 4) and starts their starts (S, k, 9); pair i
+    is start i % k of state i // k, and b defaults to S * k. Returns the
+    pairs' final distances, shape (b - a,). Each pair keeps its own step,
+    and `owner` maps a pair to its state. Each iteration perturbs every
+    active pair along +/- each of the 9 coordinates, evaluates all
+    candidates of all pairs in one batched trace-norm call, moves pairs
     that improved, and halves the step of those that did not. A pair
     retires once its step falls below the tolerance; retired pairs are
     then re-polled from the next step in the cascade. No rule looks past
-    a single pair, so each state's result is what a search over that
-    state alone gives.
+    a single pair, so each pair's result is what a search over that pair
+    alone gives, whichever other pairs share the call.
 
     The poll set also contains coupled moves: for each axis step in
     theta or phi, the candidate whose weight and Bloch vectors are the
@@ -147,11 +159,13 @@ def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
     refine reliably; the hard direction is the axis itself, and the
     coupled moves let a start travel along the dephasing manifold
     instead of stalling in the narrow curved valley a bare theta step
-    cannot cross.
+    cannot cross. The poll's projector pairs are computed once for each
+    of its five axes (`_POLL_AXES`) and gathered for its candidates.
     """
-    n_states, k = x0s.shape[:2]
-    owner = np.repeat(np.arange(n_states), k)
-    xs = _project_batch(x0s.reshape(-1, 9))
+    k = starts.shape[1]
+    b = ms.shape[0] * k if b is None else b
+    owner = np.arange(a, b) // k
+    xs = _project_batch(starts.reshape(-1, 9)[a:b])
     fs = trace_norm_diff_batch(ms[owner], _chi_batch(xs))
     poll = np.arange(18)  # candidate 2i moves coordinate i up, 2i + 1 down
     for init_step in _STEP_CASCADE:
@@ -165,12 +179,15 @@ def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
             cands = np.repeat(xs[active][:, None, :], 22, axis=1)
             cands[:, poll, poll // 2] += np.outer(st, 1 - 2 * (poll % 2))
             th, ph = xs[active, 0], xs[active, 1]
+            thetas = np.stack([th, th + st, th - st, th, th], axis=1)
+            phis = np.stack([ph, ph, ph, ph + st, ph - st], axis=1)
+            pis = _projectors(thetas, phis)
             cands[:, 18:, :] = _dephase_batch(
-                m.reshape(-1, 2, 2, 2, 2),
-                np.stack([th + st, th - st, th, th], axis=1),
-                np.stack([ph, ph, ph + st, ph - st], axis=1))
+                m.reshape(-1, 2, 2, 2, 2), thetas[:, 1:], phis[:, 1:],
+                [pi[:, 1:] for pi in pis])
             cands = _project_batch(cands)
-            vals = trace_norm_diff_batch(m[:, None], _chi_batch(cands))
+            vals = trace_norm_diff_batch(
+                m[:, None], _chi_batch(cands, [pi[:, _POLL_AXES] for pi in pis]))
             best_k = np.argmin(vals, axis=1)
             best_v = vals[np.arange(active.size), best_k]
             improved = best_v < fs[active] - 1e-15
@@ -178,7 +195,7 @@ def _pattern_search_batch(ms: np.ndarray, x0s: np.ndarray) -> np.ndarray:
             xs[moved] = cands[improved, best_k[improved]]
             fs[moved] = best_v[improved]
             steps[active[~improved]] *= 0.5
-    return fs.reshape(n_states, k)
+    return fs
 
 
 def _density_matrix(rho) -> np.ndarray:
@@ -202,6 +219,39 @@ def _density_matrix(rho) -> np.ndarray:
     return m
 
 
+def _starts(states, seed: int):
+    """The validated (S, 4, 4) matrices of a sequence of S states (or an
+    (S, 4, 4) array) and their (S, 8, 9) search starts: each state
+    dephased along the four `_WARM_AXES`, then four uniform draws over the
+    parameter box from `numpy.random.default_rng(seed)`, the same for every
+    state. The first invalid state raises the ValueError of a search on it
+    alone."""
+    ms = np.array([_density_matrix(r) for r in states],
+                  dtype=complex).reshape(-1, 4, 4)
+    n_states = ms.shape[0]
+    u = np.random.default_rng(seed).random((4, 9))
+    lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
+    hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
+    warm = _dephase_batch(ms.reshape(-1, 2, 2, 2, 2),
+                          np.broadcast_to(_WARM_AXES[:, 0], (n_states, 4)),
+                          np.broadcast_to(_WARM_AXES[:, 1], (n_states, 4)))
+    uniform = np.broadcast_to(lo + (hi - lo) * u, (n_states, 4, 9))
+    return ms, np.concatenate([warm, uniform], axis=1)
+
+
+def _best_starts(finals: np.ndarray) -> np.ndarray:
+    """Each state's best final distance from its (S, k) pair finals.
+    Warns, once per state, if a state's two best starts disagree by more
+    than `_DISAGREE_WARN` (possible non-convergence)."""
+    finals = np.sort(finals, axis=1)
+    for f in finals:
+        if f[1] - f[0] > _DISAGREE_WARN:
+            warnings.warn("classical-quantum search starts disagree by "
+                          f"{f[1] - f[0]:.2e}; result may not be converged",
+                          stacklevel=3)
+    return finals[:, 0]
+
+
 def tdd_bruteforce(rho, seed: int = 0):
     """Minimal trace distance from rho to the classical-quantum set.
 
@@ -212,32 +262,15 @@ def tdd_bruteforce(rho, seed: int = 0):
     of a call on the state alone. Every state is validated, and the
     first invalid one raises the ValueError a call on it alone raises.
 
-    Each state is searched from eight starts: the state dephased along
-    the four `_WARM_AXES`, and four uniform draws over the parameter box
-    from `numpy.random.default_rng(seed)` (the same draws for every
-    state). Deterministic for a fixed seed.
+    Each state is searched from eight starts (`_starts`): the state
+    dephased along the four `_WARM_AXES`, and four uniform draws over the
+    parameter box from `numpy.random.default_rng(seed)` (the same draws
+    for every state). Deterministic for a fixed seed.
     Warns, once per state, if a state's two best starts disagree by more
     than 1e-3 (possible non-convergence).
     """
     single = (isinstance(rho, DimerDensityMatrix) or not np.iterable(rho)
               or (len(rho) > 0 and np.ndim(rho[0]) == 1))
-    ms = np.array([_density_matrix(r) for r in ([rho] if single else rho)],
-                  dtype=complex).reshape(-1, 4, 4)
-    n_states = ms.shape[0]
-
-    u = np.random.default_rng(seed).random((4, 9))
-    lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
-    hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
-    warm = _dephase_batch(ms.reshape(-1, 2, 2, 2, 2),
-                          np.broadcast_to(_WARM_AXES[:, 0], (n_states, 4)),
-                          np.broadcast_to(_WARM_AXES[:, 1], (n_states, 4)))
-    uniform = np.broadcast_to(lo + (hi - lo) * u, (n_states, 4, 9))
-    starts = np.concatenate([warm, uniform], axis=1)
-
-    finals = np.sort(_pattern_search_batch(ms, starts), axis=1)
-    for f in finals:
-        if f[1] - f[0] > _DISAGREE_WARN:
-            warnings.warn("classical-quantum search starts disagree by "
-                          f"{f[1] - f[0]:.2e}; result may not be converged",
-                          stacklevel=2)
-    return float(finals[0, 0]) if single else finals[:, 0]
+    ms, starts = _starts([rho] if single else rho, seed)
+    best = _best_starts(_search_pairs(ms, starts).reshape(starts.shape[:2]))
+    return float(best[0]) if single else best

@@ -203,7 +203,7 @@ class Axis:
         else:
             points, what = (self.start, self.stop), "start/stop"
         for v in points:
-            if not (isinstance(v, numbers.Real) and np.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise SweepConfigError(f"axis {self.name}: {what} must be finite "
                                        f"real numbers, got {v!r}")
         if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
@@ -212,9 +212,8 @@ class Axis:
     def grid(self) -> np.ndarray:
         if self.spacing == "values":
             return np.asarray(self.values, dtype=float)
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.n_points)
-        return np.linspace(self.start, self.stop, self.n_points)
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        return space(float(self.start), float(self.stop), self.n_points)
 
     def describe(self) -> str:
         if self.spacing == "values":
@@ -382,13 +381,13 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     ranges: this process evaluates the first, and a forked child each other
     range. Every row depends on its own coordinates only, so neither the
     chunk shape nor the number of ranges changes the result. Once every
-    range is done, the oracle spot checks search their states on every
-    usable core through `_search_states`, and their residuals are taken
-    here; each state's search value is that of a search over it alone, so
-    the diagnostics and the CSV bytes do not depend on the core count
-    either. Each PSD violation is recorded in the diagnostics but the
-    offending row is still reported. A negative seed is refused, as the
-    oracle's random generator would refuse it.
+    range is done, the oracle spot checks are searched on every usable
+    core through `_search_states`, the tdd search split by (state, start)
+    pair, and their residuals are taken here; each state's search value is
+    that of a search over it alone, so the diagnostics and the CSV bytes do
+    not depend on the core count either. Each PSD violation is recorded in
+    the diagnostics but the offending row is still reported. A negative
+    seed is refused, as the oracle's random generator would refuse it.
     """
     spec.validate()
     if int(seed) < 0:
@@ -425,14 +424,11 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
 
     diagnostics = {"psd_violations": int(np.sum(table[:, 6] < 0.5))}
     if spec.oracle_check is not None:
-        from .oracle import qd_bruteforce, tdd_bruteforce
         idxs = np.arange(0, n, min(int(spec.oracle_check), n))
         entries = thermal_entries_grid(*grid_coords(spec, grids, idxs).T)
         states = [DimerDensityMatrix(*(float(e[i]) for e in entries))
                   for i in range(idxs.size)]
-        tdd, qd = _search_states(
-            states, lambda part: tdd_bruteforce(part, seed=seed),
-            lambda part: [qd_bruteforce(s) for s in part])
+        tdd, qd = _search_states(states, tdd_seed=seed, qd=True)
         qd_res = np.abs(table[idxs, 0] - qd)
         tdd_res = np.abs(table[idxs, 1] - tdd)
         diagnostics["oracle"] = [(idx, float(a), float(b)) for idx, a, b
@@ -534,35 +530,52 @@ def _run_ranges(cuts: list, work, collect=None, items: str = "rows") -> None:
                 os.waitpid(pid, 0)
 
 
-def _search_states(states: list, *searches) -> np.ndarray:
-    """The values of each search over `states`, as an array of shape
-    (len(searches), len(states)), computed on every usable core.
+def _search_states(states: list, tdd_seed: int = None, qd: bool = False) -> tuple:
+    """The oracle values of `states`, computed on every usable core: the
+    values of `tdd_bruteforce(states, seed=tdd_seed)` unless `tdd_seed` is
+    None, and of `qd_bruteforce` on each state if `qd`, as a pair (tdd, qd)
+    of arrays of len(states) floats, None for a search not asked for.
 
-    Each search takes a contiguous slice of `states` and returns one float
-    per state, which must be the value it gives that state searched alone.
     Every state is validated here first (`DimerDensityMatrix.validate`,
     the input check the search oracles apply to it), so a state they
     refuse raises its ValueError in this process before anything is
-    forked. The states are then cut into `_ranges(len(states), 1)`: this
-    process searches the first range and a forked child each other range,
-    each range writing its values into its columns of one array in a
-    shared anonymous mapping. The values do not depend on the number of
-    ranges, and with one range nothing is forked. A failed child raises
-    the OSError of `_run_ranges`, naming its range of state indices.
+    forked. The work is cut into `_ranges` of its units: the tdd search's
+    (state, start) pairs, 8 per state (`cq_search._search_pairs`), or the
+    states themselves if there is no tdd search. A state's qd search goes
+    to the range that holds its first unit. This process searches the
+    first range and a forked child each other range, each range writing
+    its pairs' final distances and its qd values into one array in a
+    shared anonymous mapping. This process then takes each state's best
+    start (`cq_search._best_starts`), so a warning that the starts of a
+    state disagree is raised here, once per state. No search rule looks
+    past one pair, so the values do not depend on the number of ranges,
+    and with one range nothing is forked. A failed child raises the
+    OSError of `_run_ranges`, naming its range of units.
     """
+    from .oracle import qd_bruteforce
+    from .oracle.cq_search import _best_starts, _search_pairs, _starts
+
     for state in states:
         state.validate()
     m = len(states)
-    values = np.ndarray((len(searches), m),
-                        buffer=mmap.mmap(-1, 8 * max(1, len(searches) * m)))
+    k = 1
+    if tdd_seed is not None:
+        ms, starts = _starts(states, tdd_seed)
+        k = starts.shape[1]
+    values = np.ndarray(m * (k + 1), buffer=mmap.mmap(-1, 8 * max(1, m * (k + 1))))
+    finals, qd_values = values[:m * k], values[m * k:]
 
-    def search(k, a, b):
-        if a < b:
-            for row, fn in zip(values, searches):
-                row[a:b] = fn(states[a:b])
+    def search(_, a, b):
+        if tdd_seed is not None:
+            finals[a:b] = _search_pairs(ms, starts, a, b)
+        if qd:
+            for i in range(-(-a // k), -(-b // k)):
+                qd_values[i] = qd_bruteforce(states[i])
 
-    _run_ranges(_ranges(m, 1), search, items="states")
-    return values
+    _run_ranges(_ranges(m * k, 1), search,
+                items="states" if tdd_seed is None else "(state, start) pairs")
+    return (None if tdd_seed is None else _best_starts(finals.reshape(m, k)),
+            qd_values if qd else None)
 
 
 def _append(out_fd: int, fd: int) -> None:
@@ -684,7 +697,10 @@ def figure_preset(name: str, n_points: int = 201) -> SweepSpec:
 
 
 def with_oracle_check(spec: SweepSpec, every: int) -> SweepSpec:
-    return replace(spec, oracle_check=int(every))
+    """`spec` with an oracle spot check on every `every`-th row; `every` is
+    kept as given, so `SweepSpec.validate` refuses one that is not an
+    integer >= 1."""
+    return replace(spec, oracle_check=every)
 
 
 _AXIS_KEYS = ("name", "start", "stop", "n_points", "spacing", "values")

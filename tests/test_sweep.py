@@ -3,11 +3,13 @@ import errno
 import io
 import math
 import mmap
+import numbers
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from diamondqc import sweep
 from diamondqc.cli import main as cli_main
 from diamondqc.measures import x_state_measures
 from diamondqc.model import thermal_entries_grid
+from diamondqc.oracle import cq_search
 from diamondqc.params import DimerDensityMatrix
 from diamondqc.sweep import (_CHUNK_SIZE, _CSV_BLOCK, CSV_COLUMNS,
                              DEFAULT_PROMINENCE, MEASURE_NAMES, PARAM_NAMES,
@@ -181,10 +184,44 @@ class TestAxis:
             with pytest.raises(SweepConfigError, match=re.escape(f"axis T_over_J: {match}")):
                 spec.validate()
 
+    @pytest.mark.parametrize("spacing", ["linear", "log", "values"])
+    @pytest.mark.parametrize("start, stop", [
+        (Fraction(1, 5), Fraction(3, 2)), (np.float64(0.2), np.float32(1.5)),
+        (Fraction(1, 5), np.int64(2))])
+    def test_any_real_bounds_give_the_float_grid(self, spacing, start, stop):
+        # Fractions and NumPy scalars are real numbers: an axis of them
+        # validates and gives the grid of the equal floats, bit for bit.
+        def axis(a, b):
+            if spacing == "values":
+                return Axis("T_over_J", 0.0, 0.0, 3, spacing="values", values=(a, 0.7, b))
+            return Axis("T_over_J", a, b, 5, spacing=spacing)
+
+        got, want = axis(start, stop), axis(float(start), float(stop))
+        spec = SweepSpec(fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3,
+                                "h_over_J": 0.1}, axes=(got,))
+        assert spec.validate() is spec
+        assert got.grid().dtype == float
+        assert got.grid().tobytes() == want.grid().tobytes()
+        assert got.describe() == want.describe()
+
 
 class TestSweepSpecValidation:
     def test_small_spec_passes(self):
         small_spec()
+
+    @pytest.mark.parametrize("every", [2.5, "x", 2, np.int64(2)])
+    def test_with_oracle_check_keeps_the_interval(self, every):
+        # The interval is passed through as given, not truncated (2.5 would
+        # check every 2nd row) or converted into a bare ValueError, so
+        # validate() accepts or refuses it as it does on a SweepSpec.
+        spec = with_oracle_check(small_spec(), every)
+        assert spec.oracle_check is every
+        if isinstance(every, numbers.Integral):
+            assert spec.validate() is spec
+        else:
+            with pytest.raises(SweepConfigError, match=re.escape(
+                    f"oracle_check must be an integer, got {every!r}")):
+                spec.validate()
 
     def test_axis_count(self):
         with pytest.raises(SweepConfigError, match="1 or 2 axes"):
@@ -631,23 +668,65 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_search_leaves_no_process(self, monkeypatch, failing):
-        # A search that fails, forked or not, fails the sweep, and every
-        # child is reaped; a failed child is named by its range of states.
-        parent, tdd_bruteforce = os.getpid(), diamondqc.oracle.tdd_bruteforce
+        # A range whose pair search fails, forked or not, fails the sweep,
+        # and every child is reaped; a failed child is named by its range
+        # of (state, start) pairs: six states of eight starts in three ranges.
+        parent, search_pairs = os.getpid(), cq_search._search_pairs
 
-        def search_or_fail(states, **kwargs):
+        def search_or_fail(*args):
             if (os.getpid() == parent) == (failing == "parent"):
                 raise RuntimeError("search failed")
-            return tdd_bruteforce(states, **kwargs)
+            return search_pairs(*args)
 
         force_ranges(monkeypatch, 3)
-        monkeypatch.setattr(diamondqc.oracle, "tdd_bruteforce", search_or_fail)
-        error, match = ((OSError, "process for states 2 to 4 exited with status 1")
+        monkeypatch.setattr(cq_search, "_search_pairs", search_or_fail)
+        error, match = ((OSError, re.escape("process for (state, start) pairs 16 to 32 "
+                                            "exited with status 1"))
                         if failing == "child" else (RuntimeError, "search failed"))
         with pytest.raises(error, match=match):
             run_sweep(with_oracle_check(small_spec(3, 4), every=2))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture(scope="class")
+    def cold_states_alone(self):
+        """Five cold-box spot-check states, and each one's tdd and qd
+        searched alone in this process."""
+        spec = SweepSpec(fixed={"gamma": 0.0, "h_over_J": 0.0, "Jz_over_J": 0.0},
+                         axes=(Axis("J0_over_J", -2.0, 2.0, 41),
+                               Axis("T_over_J", 0.002, 0.05, 41))).validate()
+        entries = thermal_entries_grid(*full_grid(spec)[::256][:5].T)
+        states = [DimerDensityMatrix(*(float(e[i]) for e in entries)) for i in range(5)]
+        return (states, [diamondqc.oracle.tdd_bruteforce(s) for s in states],
+                [diamondqc.oracle.qd_bruteforce(s) for s in states])
+
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    def test_split_states_search_as_alone(self, monkeypatch, cold_states_alone, ranges):
+        # Five states have 40 (state, start) pairs: two ranges cut state 2's
+        # starts at pair 20, three cut states 1 and 3 at pairs 13 and 26.
+        # Each state's best start is taken in this process from the finals
+        # of both sides, and must equal its search alone bit for bit.
+        states, tdd_alone, qd_alone = cold_states_alone
+        forked = force_ranges(monkeypatch, ranges)
+        assert any(cut % 8 for cut in sweep._ranges(40, 1)) == (ranges > 1)
+        tdd, qd = sweep._search_states(states, tdd_seed=0, qd=True)
+        assert len(forked) == ranges - 1
+        assert tdd.tolist() == tdd_alone
+        assert qd.tolist() == qd_alone
+
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    def test_disagreeing_starts_warn_once_per_state_here(self, monkeypatch, ranges):
+        # Below zero, the tolerance makes every state warn, even one whose
+        # two best starts agree to the bit (as some do on other hosts); each
+        # state's best start is taken in this process, so the sweep warns
+        # here once per spot-check state, whichever range searched its pairs.
+        monkeypatch.setattr(cq_search, "_DISAGREE_WARN", -1.0)
+        force_ranges(monkeypatch, ranges)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sweep(with_oracle_check(small_spec(3, 4), every=2))
+        assert [str(w.message).split(" by ")[0] for w in caught] == [
+            "classical-quantum search starts disagree"] * 6
 
     def test_forked_child_returns_the_parents_lapack_bits(self):
         # OpenBLAS stops its thread pool before a fork and starts it again
