@@ -12,7 +12,7 @@ Each search module holds its own NumPy kernel (cond_entropy_grid,
 trace_norm_diff_batch); discord_search takes its input validation
 (_density_matrix) and its measurement projector pairs (_projectors)
 from cq_search. The oracles import nothing from the closed-form fast
-path, and the fast path imports nothing from this package.
+path, and evaluating a sweep imports no oracle: only its spot checks do.
 """
 from .finite_chain import (FiniteChainSpec, enumerate_reduced_state,
                            finite_chain_reduced_state, transfer_spectrum_ratio)

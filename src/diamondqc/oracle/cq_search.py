@@ -205,7 +205,11 @@ def _density_matrix(rho) -> np.ndarray:
     of 1 and no eigenvalue below `DimerDensityMatrix.PSD_TOL`."""
     if isinstance(rho, DimerDensityMatrix):
         return rho.validate().matrix().astype(complex)
-    m = np.asarray(rho, dtype=complex)
+    try:
+        m = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("expected a 4x4 density matrix, got "
+                         f"{type(rho).__name__}: {exc}") from None
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
     if np.abs(m - m.conj().T).max() > 1e-10:

@@ -704,6 +704,10 @@ def with_oracle_check(spec: SweepSpec, every: int) -> SweepSpec:
 
 
 _AXIS_KEYS = ("name", "start", "stop", "n_points", "spacing", "values")
+# The keys each config section allows; [fixed] takes any key, as
+# `SweepSpec.validate` checks its names against PARAM_NAMES.
+_CONFIG_KEYS = {"sweep": ("oracle_every",), "fixed": None,
+                "axis1": _AXIS_KEYS, "axis2": _AXIS_KEYS}
 
 
 def read_sweep_config(path) -> SweepSpec:
@@ -711,7 +715,10 @@ def read_sweep_config(path) -> SweepSpec:
     sections into a validated SweepSpec."""
     import configparser  # here, so that preset sweeps do not import it
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No section can be named "", so [DEFAULT] is an unknown section like
+    # any other; with no interpolation, "%" is an ordinary character.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       default_section="", interpolation=None)
     parser.optionxform = str
     try:
         with open(path, encoding="utf-8") as fh:
@@ -721,61 +728,40 @@ def read_sweep_config(path) -> SweepSpec:
     except configparser.Error as exc:
         raise SweepConfigError(f"malformed sweep config {path}: {exc}") from exc
 
-    known_sections = {"sweep", "fixed", "axis1", "axis2"}
-    for section in parser.sections():
-        if section not in known_sections:
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    for section, items in sections.items():
+        if section not in _CONFIG_KEYS:
             raise SweepConfigError(f"unknown config section: [{section}]")
-    if not parser.has_section("axis1"):
+        for key in items:
+            if _CONFIG_KEYS[section] is not None and key not in _CONFIG_KEYS[section]:
+                raise SweepConfigError(f"unknown key {key!r} in [{section}]")
+    if "axis1" not in sections:
         raise SweepConfigError("config must define an [axis1] section")
 
-    def parse_axis(section: str) -> Axis:
-        items = dict(parser.items(section))
-        for key in items:
-            if key not in _AXIS_KEYS:
-                raise SweepConfigError(f"unknown key {key!r} in [{section}]")
-        if "name" not in items:
-            raise SweepConfigError(f"[{section}] is missing the 'name' key")
-        name = items["name"].strip()
+    def get(section: str, key: str, kind=str.strip):
+        if key not in sections[section]:
+            raise SweepConfigError(f"[{section}] is missing the {key!r} key")
         try:
-            if "values" in items:
-                for key in ("start", "stop", "n_points", "spacing"):
-                    if key in items:
-                        raise SweepConfigError(
-                            f"[{section}] mixes 'values' with {key!r}")
-                vals = [float(v) for v in items["values"].replace(",", " ").split()]
-                return Axis.from_values(name, vals)
-            return Axis(name=name,
-                        start=float(items["start"]),
-                        stop=float(items["stop"]),
-                        n_points=int(items["n_points"]),
-                        spacing=items.get("spacing", "linear").strip())
-        except KeyError as exc:
-            raise SweepConfigError(f"[{section}] is missing the {exc.args[0]!r} key") from exc
+            return kind(sections[section][key])
         except ValueError as exc:
-            raise SweepConfigError(f"[{section}]: {exc}") from exc
+            raise SweepConfigError(f"[{section}] {key}: {exc}") from exc
 
-    axes = [parse_axis("axis1")]
-    if parser.has_section("axis2"):
-        axes.append(parse_axis("axis2"))
+    def parse_axis(section: str) -> Axis:
+        items = sections[section]
+        name = get(section, "name")
+        if "values" in items:
+            for key in ("start", "stop", "n_points", "spacing"):
+                if key in items:
+                    raise SweepConfigError(f"[{section}] mixes 'values' with {key!r}")
+            return Axis.from_values(name, get(section, "values", lambda s: [
+                float(v) for v in s.replace(",", " ").split()]))
+        return Axis(name=name, start=get(section, "start", float),
+                    stop=get(section, "stop", float),
+                    n_points=get(section, "n_points", int),
+                    spacing=get(section, "spacing") if "spacing" in items else "linear")
 
-    fixed = {}
-    if parser.has_section("fixed"):
-        for key, raw in parser.items("fixed"):
-            try:
-                fixed[key] = float(raw)
-            except ValueError as exc:
-                raise SweepConfigError(f"fixed {key}: {exc}") from exc
-
-    oracle_check = None
-    if parser.has_section("sweep"):
-        for key in parser.options("sweep"):
-            if key != "oracle_every":
-                raise SweepConfigError(f"unknown key {key!r} in [sweep]")
-        if parser.has_option("sweep", "oracle_every"):
-            try:
-                oracle_check = int(parser.get("sweep", "oracle_every"))
-            except ValueError as exc:
-                raise SweepConfigError(f"oracle_every: {exc}") from exc
-
-    return SweepSpec(fixed=fixed, axes=tuple(axes),
-                     oracle_check=oracle_check).validate()
+    axes = tuple(parse_axis(s) for s in ("axis1", "axis2") if s in sections)
+    fixed = {key: get("fixed", key, float) for key in sections.get("fixed", ())}
+    sweep = sections.get("sweep", {})
+    oracle_check = get("sweep", "oracle_every", int) if "oracle_every" in sweep else None
+    return SweepSpec(fixed=fixed, axes=axes, oracle_check=oracle_check).validate()

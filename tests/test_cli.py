@@ -132,6 +132,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert "wrote 4 rows" in capsys.readouterr().err
 
+    def test_percent_in_config_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text("[fixed]\ngamma = 5%\n"
+                       "[axis1]\nname = T_over_J\nstart = 0.2\nstop = 1.0\nn_points = 4\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [fixed] gamma: could not convert string to float: '5%'\n")
+        assert not out.exists()
+
     def test_overflowing_grid_is_refused_before_evaluation(self, tmp_path, capsys):
         # The corner h/J = 1e10, T/J = 1e-300 would overflow beta * energy;
         # the spec is refused before any row is evaluated or forked.

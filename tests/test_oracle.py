@@ -218,6 +218,16 @@ class TestMeasuredStateSearch:
                 with pytest.raises(ValueError, match=match):
                     search(form)
 
+    def test_unreadable_state_is_refused_as_malformed(self):
+        # Two states are no one state to the discord search, nor a member of
+        # a trace-distance stack; both refuse them as any malformed input.
+        pair = [DimerDensityMatrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)] * 2
+        with pytest.raises(ValueError, match="^expected a 4x4 density matrix, got list: ") as alone:
+            qd_bruteforce(pair)
+        with pytest.raises(ValueError) as stacked:
+            tdd_bruteforce([pair])
+        assert str(stacked.value) == str(alone.value)
+
     def test_accepts_structured_state(self):
         s = DimerDensityMatrix(r11=0.5, r22=0.0, r33=0.0, r44=0.5,
                                r14=0.5, r23=0.0)

@@ -1233,8 +1233,13 @@ values = 0.2 0.5 0.7
             read_sweep_config(tmp_path / "no_such.ini")
 
     def test_unknown_section(self, tmp_path):
-        with pytest.raises(SweepConfigError, match=r"\[plot\]"):
-            read_sweep_config(self.write(tmp_path, self.GOOD + "\n[plot]\n"))
+        # [DEFAULT] is a section like any other, not defaults for the rest.
+        for text, section in ((self.GOOD + "\n[plot]\n", "plot"),
+                              ("[DEFAULT]\n" + self.GOOD, "DEFAULT"),
+                              ("[DEFAULT]\nspacing = log\n" + self.GOOD, "DEFAULT")):
+            with pytest.raises(SweepConfigError,
+                               match=rf"^unknown config section: \[{section}\]$"):
+                read_sweep_config(self.write(tmp_path, text))
 
     def test_missing_axis1(self, tmp_path):
         for text in ("[fixed]\ngamma = 1\n",
@@ -1251,7 +1256,8 @@ values = 0.2 0.5 0.7
     def test_values_mixed_with_range(self, tmp_path):
         text = self.GOOD.replace("values = 0.2 0.5 0.7",
                                  "values = 0.2 0.5\nstart = 0.1")
-        with pytest.raises(SweepConfigError, match="mixes"):
+        with pytest.raises(SweepConfigError,
+                           match=r"^\[axis2\] mixes 'values' with 'start'$"):
             read_sweep_config(self.write(tmp_path, text))
 
     def test_missing_axis_name(self, tmp_path):
@@ -1260,9 +1266,17 @@ values = 0.2 0.5 0.7
             read_sweep_config(self.write(tmp_path, text))
 
     def test_bad_float(self, tmp_path):
-        text = self.GOOD.replace("gamma = 0.5", "gamma = strong")
-        with pytest.raises(SweepConfigError, match="gamma"):
-            read_sweep_config(self.write(tmp_path, text))
+        # "%" is an ordinary character: no interpolation, no configparser error.
+        for old, new, message in (
+                ("gamma = 0.5", "gamma = strong",
+                 "[fixed] gamma: could not convert string to float: 'strong'"),
+                ("gamma = 0.5", "gamma = 5%",
+                 "[fixed] gamma: could not convert string to float: '5%'"),
+                ("stop = 2", "stop = %(start)s",
+                 "[axis1] stop: could not convert string to float: '%(start)s'")):
+            with pytest.raises(SweepConfigError) as exc:
+                read_sweep_config(self.write(tmp_path, self.GOOD.replace(old, new)))
+            assert str(exc.value) == message
 
     # Every CSV carries all five measures, so a `measures` selection is
     # refused rather than silently ignored.
