@@ -134,10 +134,10 @@ def x_state_measures(r11, r22, r33, r44, r14, r23):
 def correlation_report(rho) -> CorrelationReport:
     """All measures of one X state (a DimerDensityMatrix or a 4x4 array).
 
-    Raises ValueError unless the state has trace 1 and is PSD.
+    Raises ValueError unless the state passes `check_matrix` and is PSD.
     """
     if not isinstance(rho, DimerDensityMatrix):
-        rho = DimerDensityMatrix.from_matrix(np.asarray(rho))
+        rho = DimerDensityMatrix.from_matrix(rho)
     x = rho.validate()
     m = x_state_measures(x.r11, x.r22, x.r33, x.r44, x.r14, x.r23)
     return CorrelationReport(**{f.name: float(m[f.name]) for f in fields(CorrelationReport)})

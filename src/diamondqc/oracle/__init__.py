@@ -9,10 +9,10 @@ over states classical on the first qubit, from eight fixed starts, each
 (state, start) pair searched on its own.
 
 Each search module holds its own NumPy kernel (cond_entropy_grid,
-trace_norm_diff_batch); discord_search takes its input validation
-(_density_matrix) and its measurement projector pairs (_projectors)
-from cq_search. The oracles import nothing from the closed-form fast
-path, and evaluating a sweep imports no oracle: only its spot checks do.
+trace_norm_diff_batch) and takes one state, checked by params.check_matrix;
+discord_search takes its projector pairs (_projectors) from cq_search. The
+oracles import nothing from the closed-form fast path, and evaluating a
+sweep imports no oracle: only its spot checks do.
 """
 from .finite_chain import (FiniteChainSpec, enumerate_reduced_state,
                            finite_chain_reduced_state, transfer_spectrum_ratio)

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from ..params import DimerDensityMatrix
+from ..params import DimerDensityMatrix, check_matrix
 
 # Step schedule: full search from the coarse step, then two re-polls of
 # the converged points from fresher steps. Single-coordinate moves stall
@@ -201,35 +201,24 @@ def _search_pairs(ms: np.ndarray, starts: np.ndarray, a: int = 0,
 def _density_matrix(rho) -> np.ndarray:
     """One validated 4x4 complex density matrix from a DimerDensityMatrix
     or an array-like; the input check of both search oracles. An array is
-    held to the bounds of `DimerDensityMatrix.validate`: trace within 1e-9
-    of 1 and no eigenvalue below `DimerDensityMatrix.PSD_TOL`."""
+    held to the bounds of `DimerDensityMatrix.validate`: `check_matrix`
+    and no eigenvalue below `DimerDensityMatrix.PSD_TOL`."""
     if isinstance(rho, DimerDensityMatrix):
         return rho.validate().matrix().astype(complex)
-    try:
-        m = np.asarray(rho, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("expected a 4x4 density matrix, got "
-                         f"{type(rho).__name__}: {exc}") from None
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError("matrix is not Hermitian")
+    m = check_matrix(rho)
     vals = np.linalg.eigvalsh(m)
     if vals.min() < DimerDensityMatrix.PSD_TOL:
         raise ValueError(f"matrix has eigenvalue {vals.min():.3e} < "
                          f"{DimerDensityMatrix.PSD_TOL:g}")
-    if abs(vals.sum() - 1.0) > 1e-9:
-        raise ValueError(f"trace {vals.sum():.12g} deviates from 1")
     return m
 
 
 def _starts(states, seed: int):
-    """The validated (S, 4, 4) matrices of a sequence of S states (or an
-    (S, 4, 4) array) and their (S, 8, 9) search starts: each state
-    dephased along the four `_WARM_AXES`, then four uniform draws over the
-    parameter box from `numpy.random.default_rng(seed)`, the same for every
-    state. The first invalid state raises the ValueError of a search on it
-    alone."""
+    """The validated (S, 4, 4) matrices of a sequence of S states and
+    their (S, 8, 9) search starts: each state dephased along the four
+    `_WARM_AXES`, then four uniform draws over the parameter box from
+    `numpy.random.default_rng(seed)`, the same for every state. The first
+    invalid state raises the ValueError of a search on it alone."""
     ms = np.array([_density_matrix(r) for r in states],
                   dtype=complex).reshape(-1, 4, 4)
     n_states = ms.shape[0]
@@ -256,25 +245,13 @@ def _best_starts(finals: np.ndarray) -> np.ndarray:
     return finals[:, 0]
 
 
-def tdd_bruteforce(rho, seed: int = 0):
-    """Minimal trace distance from rho to the classical-quantum set.
-
-    rho is one state (a DimerDensityMatrix or a 4x4 array), for which a
-    float is returned, or a stack of S states (a sequence of either, or
-    an (S, 4, 4) array), for which an array of S floats is returned; all
-    states of a stack are searched together, and each value equals that
-    of a call on the state alone. Every state is validated, and the
-    first invalid one raises the ValueError a call on it alone raises.
-
-    Each state is searched from eight starts (`_starts`): the state
-    dephased along the four `_WARM_AXES`, and four uniform draws over the
-    parameter box from `numpy.random.default_rng(seed)` (the same draws
-    for every state). Deterministic for a fixed seed.
-    Warns, once per state, if a state's two best starts disagree by more
-    than 1e-3 (possible non-convergence).
+def tdd_bruteforce(rho, seed: int = 0) -> float:
+    """Minimal trace distance from rho, one state (a DimerDensityMatrix or
+    a 4x4 array), to the classical-quantum set, searched from eight starts
+    (`_starts`): rho dephased along the four `_WARM_AXES`, and four uniform
+    draws over the parameter box from `numpy.random.default_rng(seed)`.
+    Deterministic for a fixed seed. Warns if the two best starts disagree
+    by more than 1e-3 (possible non-convergence).
     """
-    single = (isinstance(rho, DimerDensityMatrix) or not np.iterable(rho)
-              or (len(rho) > 0 and np.ndim(rho[0]) == 1))
-    ms, starts = _starts([rho] if single else rho, seed)
-    best = _best_starts(_search_pairs(ms, starts).reshape(starts.shape[:2]))
-    return float(best[0]) if single else best
+    ms, starts = _starts([rho], seed)
+    return float(_best_starts(_search_pairs(ms, starts).reshape(starts.shape[:2]))[0])

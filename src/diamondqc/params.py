@@ -34,6 +34,27 @@ def x_block_eigenvalues(r11, r22, r33, r44, r14, r23):
     return np.stack([eo - do, eo + do, ei - di, ei + di])
 
 
+def check_matrix(m) -> np.ndarray:
+    """m as a complex 4x4 array with finite entries, Hermitian to 1e-10 and
+    with trace within 1e-9 of 1, or a ValueError: the one rule for a valid
+    state matrix. Positivity and structure are left to the caller."""
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("expected a 4x4 density matrix, got "
+                         f"{type(m).__name__}: {exc}") from None
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(m - m.conj().T).max() > 1e-10:
+        raise ValueError("matrix is not Hermitian")
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"trace {tr:.12g} deviates from 1")
+    return m
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Couplings of one diamond unit cell, in units of J.
@@ -105,32 +126,19 @@ class DimerDensityMatrix:
     def from_matrix(cls, m: np.ndarray) -> "DimerDensityMatrix":
         """Validate and convert a 4x4 array with X structure.
 
-        Rejects non-Hermitian input, any entry off the diagonal and
-        anti-diagonal larger than 1e-12, and trace deviating from 1 by
-        more than 1e-9. Off-diagonal phases are dropped (their absolute
-        values are stored): all supported measures are invariant under
-        the local phase rotations that remove them.
+        Rejects input that fails `check_matrix` and any entry off the
+        diagonal and anti-diagonal larger than 1e-12. Off-diagonal phases
+        are dropped (their absolute values are stored): all supported
+        measures are invariant under the local phase rotations that
+        remove them.
         """
-        m = np.asarray(m)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("matrix is not Hermitian")
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[np.arange(4), np.arange(4)] = True
-        mask[0, 3] = mask[3, 0] = mask[1, 2] = mask[2, 1] = True
-        off = np.abs(m[~mask]).max() if (~mask).any() else 0.0
+        m = check_matrix(m)
+        x_pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+        off = np.abs(m[~x_pattern]).max()
         if off > 1e-12:
             raise ValueError(f"matrix is not X-structured: off-pattern magnitude {off:.3e}")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {tr} deviates from 1")
-        diag = np.real(np.diag(m))
-        r14 = m[0, 3]
-        r23 = m[1, 2]
         to_real = lambda v: float(np.real(v)) if abs(np.imag(v)) <= 1e-12 else float(np.abs(v))
-        return cls(float(diag[0]), float(diag[1]), float(diag[2]), float(diag[3]),
-                   to_real(r14), to_real(r23))
+        return cls(*(float(v) for v in np.real(np.diag(m))), to_real(m[0, 3]), to_real(m[1, 2]))
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((4, 4))
@@ -148,9 +156,8 @@ class DimerDensityMatrix:
         return self.r11 + self.r22 + self.r33 + self.r44
 
     def validate(self) -> "DimerDensityMatrix":
-        """Raise unless trace is 1 (to 1e-9) and the matrix is PSD."""
-        if abs(self.trace() - 1.0) > 1e-9:
-            raise ValueError(f"trace {self.trace()} deviates from 1")
+        """Raise unless the matrix passes `check_matrix` and is PSD."""
+        check_matrix(self.matrix())
         if not self.psd_flag:
             raise ValueError(f"matrix has eigenvalue {self.min_eig:.3e} < -1e-10")
         return self

@@ -191,6 +191,8 @@ class Axis:
             raise SweepConfigError(f"unknown parameter name on axis: {self.name!r}")
         if self.spacing not in ("linear", "log", "values"):
             raise SweepConfigError(f"axis {self.name}: unknown spacing {self.spacing!r}")
+        if self.values is not None and self.spacing != "values":
+            raise SweepConfigError(f"axis {self.name}: values given with {self.spacing!r} spacing")
         if not isinstance(self.n_points, numbers.Integral):
             raise SweepConfigError(f"axis {self.name}: n_points must be an integer, "
                                    f"got {self.n_points!r}")
@@ -386,11 +388,13 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     pair, and their residuals are taken here; each state's search value is
     that of a search over it alone, so the diagnostics and the CSV bytes do
     not depend on the core count either. Each PSD violation is recorded in
-    the diagnostics but the offending row is still reported. A negative
-    seed is refused, as the oracle's random generator would refuse it.
+    the diagnostics but the offending row is still reported. A seed that
+    is not a non-negative integer is refused, as NumPy's would be.
     """
     spec.validate()
-    if int(seed) < 0:
+    if not isinstance(seed, numbers.Integral):
+        raise SweepConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise SweepConfigError(f"seed must be >= 0, got {seed}")
     n = math.prod(ax.n_points for ax in spec.axes)
     width = len(_TABLE_KEYS)
@@ -531,10 +535,10 @@ def _run_ranges(cuts: list, work, collect=None, items: str = "rows") -> None:
 
 
 def _search_states(states: list, tdd_seed: int = None, qd: bool = False) -> tuple:
-    """The oracle values of `states`, computed on every usable core: the
-    values of `tdd_bruteforce(states, seed=tdd_seed)` unless `tdd_seed` is
-    None, and of `qd_bruteforce` on each state if `qd`, as a pair (tdd, qd)
-    of arrays of len(states) floats, None for a search not asked for.
+    """The oracle values of `states`, computed on every usable core: those
+    of `tdd_bruteforce(state, seed=tdd_seed)` unless `tdd_seed` is None,
+    and of `qd_bruteforce(state)` if `qd`, as a pair (tdd, qd) of arrays
+    of len(states) floats, None for a search not asked for.
 
     Every state is validated here first (`DimerDensityMatrix.validate`,
     the input check the search oracles apply to it), so a state they

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from diamondqc import measures
+from diamondqc import measures, sweep
 from diamondqc.measures import correlation_report, x_state_measures
 from diamondqc.model import thermal_entries_grid, thermal_state
-from diamondqc.oracle import qd_bruteforce, tdd_bruteforce
+from diamondqc.oracle import qd_bruteforce
 from diamondqc.params import (DimerDensityMatrix, ModelParams, ThermalPoint,
                               x_block_eigenvalues)
 from test_model import F4_POINT, same_bits, wide_boxes
@@ -267,7 +267,7 @@ class TestVectorized:
         # scales with 1/T is not degenerate: tdd ~ 2e-8 here, |g1| = 4e-8.
         states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
                                     ThermalPoint(1e7)))
-        searched = tdd_bruteforce(states, seed=0)
+        searched = sweep._search_states(states, tdd_seed=0)[0]
         for s, search in zip(states, searched, strict=True):
             assert correlation_report(s).tdd == pytest.approx(search, abs=1e-9)
 

@@ -1,9 +1,11 @@
 """Tests for the finite-chain and derivative-free search oracles."""
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diamondqc.measures import correlation_report, x_state_measures
+from diamondqc.measures import correlation_report
 from diamondqc.model import thermal_entries_grid, thermal_state
 from diamondqc.oracle import (FiniteChainSpec, enumerate_reduced_state,
                               finite_chain_reduced_state, qd_bruteforce,
@@ -218,20 +220,56 @@ class TestMeasuredStateSearch:
                 with pytest.raises(ValueError, match=match):
                     search(form)
 
+    @pytest.mark.parametrize("states", [[BELL, MIXED, BELL],
+                                        np.stack([BELL, MIXED, BELL])])
+    def test_stack_is_refused_as_malformed(self, states):
+        # Both searches take one state: a list of matrices or an (S, 4, 4)
+        # array is refused as any malformed input, with one message.
+        match = re.escape("expected a 4x4 density matrix, got shape (3, 4, 4)")
+        with pytest.raises(ValueError, match=match) as qd:
+            qd_bruteforce(states)
+        with pytest.raises(ValueError) as tdd:
+            tdd_bruteforce(states)
+        assert str(tdd.value) == str(qd.value)
+
     def test_unreadable_state_is_refused_as_malformed(self):
-        # Two states are no one state to the discord search, nor a member of
-        # a trace-distance stack; both refuse them as any malformed input.
+        # A list of two states is no one state to either search; both refuse
+        # it as any malformed input.
         pair = [DimerDensityMatrix(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)] * 2
         with pytest.raises(ValueError, match="^expected a 4x4 density matrix, got list: ") as alone:
             qd_bruteforce(pair)
-        with pytest.raises(ValueError) as stacked:
-            tdd_bruteforce([pair])
-        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ValueError) as tdd:
+            tdd_bruteforce(pair)
+        assert str(tdd.value) == str(alone.value)
 
     def test_accepts_structured_state(self):
         s = DimerDensityMatrix(r11=0.5, r22=0.0, r33=0.0, r44=0.5,
                                r14=0.5, r23=0.0)
         assert tdd_bruteforce(s) == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 3), (1, 2), (0, 1)])
+def test_non_finite_entry_is_refused_everywhere(where, value):
+    # One check refuses a NaN or infinite entry, on the diagonal, on the
+    # anti-diagonal or off the X pattern, for every entry point that takes
+    # a state, in either form; none may compute past it.
+    m = MIXED.copy()
+    m[where] = m[where[::-1]] = value
+    forms = [m]
+    if where != (0, 1):
+        entries = dict(r11=0.25, r22=0.25, r33=0.25, r44=0.25, r14=0.0, r23=0.0)
+        entries[{(0, 0): "r11", (0, 3): "r14", (1, 2): "r23"}[where]] = value
+        with np.errstate(invalid="ignore"):  # its spectrum on construction
+            forms.append(DimerDensityMatrix(**entries))
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            forms[1].validate()
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        DimerDensityMatrix.from_matrix(m)
+    for form in forms:
+        for entry in (correlation_report, qd_bruteforce, tdd_bruteforce):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                entry(form)
 
 
 def cold_box_spot_check_states():
@@ -245,27 +283,6 @@ def cold_box_spot_check_states():
             for i in range(idx.size)]
 
 
-def degenerate_tdd_states():
-    """The 38 states of test_measures::test_degenerate_tdd_matches_search:
-    four Werner states, the 33 cold-box points where the closed-form tdd
-    denominator vanishes, and one hot state."""
-    states = [DimerDensityMatrix(r11=(1.0 - p) / 4.0, r22=(1.0 + p) / 4.0,
-                                 r33=(1.0 + p) / 4.0, r44=(1.0 - p) / 4.0,
-                                 r14=0.0, r23=-p / 2.0)
-              for p in (0.1, 0.3, 0.5, 0.7)]
-    j0 = np.linspace(-2.0, 2.0, 41)[:, None]
-    t = np.linspace(0.002, 0.05, 41)[None, :]
-    entries = [e.ravel() for e in thermal_entries_grid(j0, t, 0.0, 0.0, 0.0)]
-    out = x_state_measures(*entries)
-    den = (out["tdd_gmax_sq"] - out["tdd_gmin_sq"]
-           + out["tdd_g1"] ** 2 - out["tdd_g2"] ** 2)
-    states += [DimerDensityMatrix(*(float(e[i]) for e in entries))
-               for i in np.nonzero(np.abs(den) < 1e-12)[0]]
-    states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
-                                ThermalPoint(1e7)))
-    return states
-
-
 def h_scan_states():
     """Every tenth state of the verify suite's 100-state h-scan."""
     states = [thermal_state(ModelParams(gamma=0.5, jz=0.3, j0=-0.3, h=float(h)),
@@ -276,10 +293,10 @@ def h_scan_states():
 
 
 def reference_tdd_search(states, seed=0):
-    """`tdd_bruteforce` on a stack of states, in the form its batched
-    search was first written: eight starts per state (four dephased, four
-    seeded draws), a compass search with coupled dephasing moves and the
-    step cascade (0.35, 0.05, 0.008). Its cos, sin, exp and 4x4 eigvalsh
+    """`tdd_bruteforce` on each of a list of states, in the batched form
+    its search was first written: eight starts per state (four dephased,
+    four seeded draws), a compass search with coupled dephasing moves and
+    the step cascade (0.35, 0.05, 0.008). Its cos, sin, exp and 4x4 eigvalsh
     run on the host's kernels, so its bits are those of the same host."""
     ms = np.array([s.matrix() for s in states], dtype=complex)
 
@@ -374,53 +391,21 @@ def reference_tdd_search(states, seed=0):
 
 @pytest.fixture(scope="module")
 def searched_alone():
-    """Each state's search result from a call on that state alone."""
-    states = (cold_box_spot_check_states() + degenerate_tdd_states()
-              + h_scan_states())
-    assert len(states) == 55
+    """The cold-box spot-check and h-scan states, and each one's search
+    result."""
+    states = cold_box_spot_check_states() + h_scan_states()
+    assert len(states) == 17
     return states, [tdd_bruteforce(s, seed=0) for s in states]
 
 
 class TestBatchedSearch:
-    # A stack is searched in one loop, but no search rule looks past one
-    # start, so every value must equal the lone search's exactly.
-    def test_stack_equals_states_alone(self, searched_alone):
-        states, alone = searched_alone
-        got = tdd_bruteforce(states, seed=0)
-        assert isinstance(got, np.ndarray) and got.shape == (55,)
-        assert got.tolist() == alone
-
-    def test_reversed_stack_gives_reversed_values(self, searched_alone):
-        states, alone = searched_alone
-        picked = states[:7] + states[45:]  # the cold-box and h-scan states
-        want = alone[:7] + alone[45:]
-        matrices = np.stack([s.matrix() for s in picked[::-1]])
-        got = tdd_bruteforce(matrices, seed=0)
-        assert got.tolist() == want[::-1]
-
     def test_values_are_frozen(self, searched_alone):
         # The search's exact bits on the cold-box spot checks and the h-scan
-        # states equal those of its reference form on this host. A rewrite
-        # of the search loop that keeps every entry's arithmetic keeps them;
-        # a change of starts or polls may move them, and must then say so.
-        # (Pinned float.hex literals would fail on hosts whose SIMD or BLAS
-        # kernels give other last bits, as without AVX-512.)
+        # states equal those of its batched reference form on this host. A
+        # rewrite of the search loop that keeps every entry's arithmetic
+        # keeps them; a change of starts or polls may move them, and must
+        # then say so. (Pinned float.hex literals would fail on hosts whose
+        # SIMD or BLAS kernels give other last bits, as without AVX-512.)
         states, alone = searched_alone
-        picked = states[:7] + states[45:]
-        want = reference_tdd_search(picked)
-        assert [v.hex() for v in alone[:7] + alone[45:]] == [v.hex() for v in want]
-
-    def test_one_element_stack_equals_scalar_call(self, searched_alone):
-        states, alone = searched_alone
-        got = tdd_bruteforce([states[0]], seed=0)
-        assert got.shape == (1,)
-        assert got[0] == alone[0]
-        assert isinstance(alone[0], float)
-
-    @pytest.mark.parametrize("bad", [np.eye(4), np.triu(np.full((4, 4), 0.25))])
-    def test_invalid_member_raises_as_alone(self, bad):
-        with pytest.raises(ValueError) as alone:
-            tdd_bruteforce(bad)
-        with pytest.raises(ValueError) as stacked:
-            tdd_bruteforce([BELL, bad, MIXED])
-        assert str(stacked.value) == str(alone.value)
+        want = reference_tdd_search(states)
+        assert [v.hex() for v in alone] == [v.hex() for v in want]

@@ -172,10 +172,13 @@ class TestAxis:
         (Axis("T_over_J", "a", 1.0, 3), "start/stop must be finite real numbers, got 'a'"),
         (Axis("T_over_J", 0.2, 1.0, 3, spacing="values", values=("a", "b", "c")),
          "values must be finite real numbers, got 'a'"),
-        (Axis("T_over_J", 0.2, 1.0, np.int64(3)), None)])
+        (Axis("T_over_J", 0.2, 1.0, np.int64(3)), None),
+        (Axis("T_over_J", 0.2, 1.0, 3, values=(0.3, 0.5, 0.7)),
+         "values given with 'linear' spacing")])
     def test_field_types(self, axis, match):
         # Malformed fields are refused as a config error naming the axis, not
         # a TypeError from deep in the grid; NumPy integers count as integers.
+        # A range axis does not silently ignore a values list.
         spec = SweepSpec(fixed={"gamma": 0.5, "J0_over_J": -0.3, "Jz_over_J": 0.3,
                                 "h_over_J": 0.1}, axes=(axis,))
         if match is None:
@@ -623,6 +626,21 @@ class TestRunSweep:
         assert res.header["oracle_points"] == "2"
         assert float(res.header["oracle_max_qd_residual"]) <= 1e-4
         assert float(res.header["oracle_max_tdd_residual"]) <= 1e-4
+
+    @pytest.mark.parametrize("seed", [2.5, "x"])
+    def test_non_integer_seed_is_refused(self, seed):
+        # Refused as a config error, spot checks or not, not truncated into
+        # the header or left to the oracle's random generator.
+        for spec in (small_spec(2, 2), with_oracle_check(small_spec(2, 2), every=2)):
+            with pytest.raises(SweepConfigError,
+                               match=re.escape(f"seed must be an integer, got {seed!r}")):
+                run_sweep(spec, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        spec = with_oracle_check(small_spec(2, 2), every=2)
+        res = run_sweep(spec, seed=np.int64(4))
+        assert res.header["seed"] == "4"
+        assert res.header == run_sweep(spec, seed=4).header
 
     @pytest.fixture(scope="class")
     def spot_checks_in_one_range(self):
