@@ -6,11 +6,13 @@ rho1 arbitrary single-qubit states: the states are classical on the
 first qubit, as the closed form in measures takes them. The family is
 parametrized by nine reals: the projector axis (theta, phi), the weight
 p, and two Bloch vectors. The objective ||rho - chi||_1 is minimized by
-a coordinate pattern search from eight starts: four seeded NumPy uniform
-draws over the parameter box and four warm starts obtained by dephasing
-rho along fixed measurement axes (z, x, y and the x-z diagonal). Every
-intermediate candidate is itself a valid classical-quantum state, so the
-running best is always an upper bound on the true distance.
+a coordinate pattern search from eight starts: four uniform draws over
+the parameter box from the standard library's `random.Random(seed)`, so
+that no search loads `numpy.random`, and four warm starts obtained by
+dephasing rho along fixed measurement axes (z, x, y and the x-z
+diagonal). Every intermediate candidate is itself a valid
+classical-quantum state, so the running best is always an upper bound
+on the true distance.
 
 The search runs on (state, start) pairs: a stack of S states has S x 8
 pairs, and any contiguous run of them is searched in one loop, each
@@ -22,6 +24,8 @@ each state's best.
 """
 from __future__ import annotations
 
+import operator
+import random
 import warnings
 
 import numpy as np
@@ -216,13 +220,21 @@ def _density_matrix(rho) -> np.ndarray:
 def _starts(states, seed: int):
     """The validated (S, 4, 4) matrices of a sequence of S states and
     their (S, 8, 9) search starts: each state dephased along the four
-    `_WARM_AXES`, then four uniform draws over the parameter box from
-    `numpy.random.default_rng(seed)`, the same for every state. The first
-    invalid state raises the ValueError of a search on it alone."""
+    `_WARM_AXES`, then four uniform draws over the parameter box, the
+    same for every state: 36 calls of `random.Random(seed).random()`, in
+    row-major order. seed is a non-negative integer (a bool or a NumPy
+    integer too), or None for fresh entropy; a negative seed raises
+    ValueError and any other type TypeError. The first invalid state
+    raises the ValueError of a search on it alone."""
     ms = np.array([_density_matrix(r) for r in states],
                   dtype=complex).reshape(-1, 4, 4)
     n_states = ms.shape[0]
-    u = np.random.default_rng(seed).random((4, 9))
+    if seed is not None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
+    u = np.array([rng.random() for _ in range(36)]).reshape(4, 9)
     lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
     hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
     warm = _dephase_batch(ms.reshape(-1, 2, 2, 2, 2),
@@ -249,9 +261,10 @@ def tdd_bruteforce(rho, seed: int = 0) -> float:
     """Minimal trace distance from rho, one state (a DimerDensityMatrix or
     a 4x4 array), to the classical-quantum set, searched from eight starts
     (`_starts`): rho dephased along the four `_WARM_AXES`, and four uniform
-    draws over the parameter box from `numpy.random.default_rng(seed)`.
-    Deterministic for a fixed seed. Warns if the two best starts disagree
-    by more than 1e-3 (possible non-convergence).
+    draws over the parameter box from `random.Random(seed)`. Deterministic
+    for a fixed seed; a seed that is not a non-negative integer or None is
+    refused. Warns if the two best starts disagree by more than 1e-3
+    (possible non-convergence).
     """
     ms, starts = _starts([rho], seed)
     return float(_best_starts(_search_pairs(ms, starts).reshape(starts.shape[:2]))[0])

@@ -104,7 +104,8 @@ class DimerDensityMatrix:
     passed in: psd_flag is True when the smallest eigenvalue is
     >= -1e-10, i.e. the matrix is positive semidefinite up to numerical
     noise. A False flag marks an inconsistent input rather than raising,
-    so sweeps can record it.
+    so sweeps can record it. With a non-finite entry min_eig is nan and
+    psd_flag False, and no warning is raised.
     """
     r11: float
     r22: float
@@ -118,8 +119,10 @@ class DimerDensityMatrix:
     PSD_TOL = -1e-10
 
     def __post_init__(self):
-        vals = self.eigenvalues()
-        object.__setattr__(self, "min_eig", float(vals.min()))
+        # Non-finite entries have no spectrum (inf - inf would warn): min_eig
+        # is nan, psd_flag False, and validate() refuses the matrix.
+        finite = np.isfinite((self.r11, self.r22, self.r33, self.r44, self.r14, self.r23)).all()
+        object.__setattr__(self, "min_eig", float(self.eigenvalues().min()) if finite else np.nan)
         object.__setattr__(self, "psd_flag", bool(self.min_eig >= self.PSD_TOL))
 
     @classmethod

@@ -1,5 +1,7 @@
 """Tests for the finite-chain and derivative-free search oracles."""
+import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from diamondqc.model import thermal_entries_grid, thermal_state
 from diamondqc.oracle import (FiniteChainSpec, enumerate_reduced_state,
                               finite_chain_reduced_state, qd_bruteforce,
                               tdd_bruteforce, transfer_spectrum_ratio)
-from diamondqc.oracle.cq_search import (_chi_batch, _project_batch,
-                                        trace_norm_diff_batch)
+from diamondqc.oracle.cq_search import (_chi_batch, _project_batch, _search_pairs,
+                                        _starts, trace_norm_diff_batch)
 from diamondqc.oracle.discord_search import cond_entropy_grid
 from diamondqc.params import DimerDensityMatrix, ModelParams, ThermalPoint
+from diamondqc.sweep import _search_states
 
 CAL_PARAMS = ModelParams(gamma=0.6, jz=0.3, j0=0.3, h=0.35)
 CAL_TP = ThermalPoint(0.5)
@@ -248,6 +251,31 @@ class TestMeasuredStateSearch:
         assert tdd_bruteforce(s) == pytest.approx(1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("seed, error", [
+    (0, None), (True, None), (np.int64(3), None), (np.uint64(2**63), None),
+    (2**100, None), (None, None), (-1, ValueError), (np.int64(-1), ValueError),
+    (1.5, TypeError), ("3", TypeError), ([1, 2], TypeError)])
+def test_seed_rules(seed, error):
+    # The search alone and the spot checks' batch path take a non-negative
+    # integer of any integer type and size, and the search None for fresh
+    # draws (the batch path's tdd_seed=None asks for no tdd search); an
+    # integer's draws depend on its value only. A negative seed raises
+    # ValueError, and any other type TypeError, a sequence of ints too.
+    state = DimerDensityMatrix(0.4, 0.1, 0.3, 0.2, 0.1, 0.05)
+    searches = [lambda: tdd_bruteforce(state, seed)]
+    if seed is not None:
+        searches.append(lambda: float(_search_states([state], tdd_seed=seed)[0][0]))
+    for search in searches:
+        if error is not None:
+            with pytest.raises(error):
+                search()
+            continue
+        got = search()
+        assert got == pytest.approx(correlation_report(state).tdd, abs=1e-7)
+        if seed is not None:
+            assert got == tdd_bruteforce(state, int(seed))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (0, 3), (1, 2), (0, 1)])
 def test_non_finite_entry_is_refused_everywhere(where, value):
@@ -260,8 +288,10 @@ def test_non_finite_entry_is_refused_everywhere(where, value):
     if where != (0, 1):
         entries = dict(r11=0.25, r22=0.25, r33=0.25, r44=0.25, r14=0.0, r23=0.0)
         entries[{(0, 0): "r11", (0, 3): "r14", (1, 2): "r23"}[where]] = value
-        with np.errstate(invalid="ignore"):  # its spectrum on construction
+        with warnings.catch_warnings():  # construction must not warn
+            warnings.simplefilter("error")
             forms.append(DimerDensityMatrix(**entries))
+        assert np.isnan(forms[1].min_eig) and forms[1].psd_flag is False
         with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             forms[1].validate()
     with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
@@ -284,20 +314,22 @@ def cold_box_spot_check_states():
 
 
 def h_scan_states():
-    """Every tenth state of the verify suite's 100-state h-scan."""
+    """Every tenth state of the verify suite's 100-state h-scan, and states
+    44 and 84, whose best search start is one of the seeded draws."""
     states = [thermal_state(ModelParams(gamma=0.5, jz=0.3, j0=-0.3, h=float(h)),
                             ThermalPoint(t))
               for t in (0.2, 0.5, 0.7, 1.0, 1.5)
               for h in np.linspace(-2.0, 2.0, 20)]
-    return states[::10]
+    return states[::10] + [states[44], states[84]]
 
 
 def reference_tdd_search(states, seed=0):
-    """`tdd_bruteforce` on each of a list of states, in the batched form
-    its search was first written: eight starts per state (four dephased,
-    four seeded draws), a compass search with coupled dephasing moves and
-    the step cascade (0.35, 0.05, 0.008). Its cos, sin, exp and 4x4 eigvalsh
-    run on the host's kernels, so its bits are those of the same host."""
+    """The final distances of `tdd_bruteforce`'s eight starts on each of a
+    list of states, shape (S, 8), in the batched form its search was first
+    written: four dephased starts and four draws of `random.Random(seed)`,
+    a compass search with coupled dephasing moves and the step cascade
+    (0.35, 0.05, 0.008). Its cos, sin, exp and 4x4 eigvalsh run on the
+    host's kernels, so its bits are those of the same host."""
     ms = np.array([s.matrix() for s in states], dtype=complex)
 
     def project(x):
@@ -352,7 +384,8 @@ def reference_tdd_search(states, seed=0):
         return out
 
     n = ms.shape[0]
-    u = np.random.default_rng(seed).random((4, 9))
+    rng = random.Random(seed)
+    u = np.array([[rng.random() for _ in range(9)] for _ in range(4)])
     lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
     hi = np.array([np.pi, 2.0 * np.pi, 1.0, 1, 1, 1, 1, 1, 1])
     axes = np.array([[0.0, 0.0], [0.5 * np.pi, 0.0],
@@ -386,7 +419,7 @@ def reference_tdd_search(states, seed=0):
             xs[moved] = cands[improved, best_k[improved]]
             fs[moved] = best_v[improved]
             steps[active[~improved]] *= 0.5
-    return np.sort(fs.reshape(n, 8), axis=1)[:, 0].tolist()
+    return fs.reshape(n, 8)
 
 
 @pytest.fixture(scope="module")
@@ -394,18 +427,25 @@ def searched_alone():
     """The cold-box spot-check and h-scan states, and each one's search
     result."""
     states = cold_box_spot_check_states() + h_scan_states()
-    assert len(states) == 17
+    assert len(states) == 19
     return states, [tdd_bruteforce(s, seed=0) for s in states]
 
 
 class TestBatchedSearch:
     def test_values_are_frozen(self, searched_alone):
         # The search's exact bits on the cold-box spot checks and the h-scan
-        # states equal those of its batched reference form on this host. A
-        # rewrite of the search loop that keeps every entry's arithmetic
-        # keeps them; a change of starts or polls may move them, and must
-        # then say so. (Pinned float.hex literals would fail on hosts whose
-        # SIMD or BLAS kernels give other last bits, as without AVX-512.)
+        # states, every start's final distance and each state's best, equal
+        # those of its batched reference form on this host. A rewrite of the
+        # search loop that keeps every entry's arithmetic keeps them; a
+        # change of starts or polls may move them, and must then say so.
+        # Some state's best is a seeded draw's (start 4 or later), so the
+        # draws count in the best values too. (Pinned float.hex literals
+        # would fail on hosts whose SIMD or BLAS kernels give other last
+        # bits, as without AVX-512.)
         states, alone = searched_alone
         want = reference_tdd_search(states)
-        assert [v.hex() for v in alone] == [v.hex() for v in want]
+        ms, starts = _starts(states, 0)
+        finals = _search_pairs(ms, starts).reshape(want.shape)
+        assert [v.hex() for v in finals.ravel()] == [v.hex() for v in want.ravel()]
+        assert [v.hex() for v in alone] == [v.hex() for v in want.min(axis=1)]
+        assert (want.argmin(axis=1) >= 4).any()

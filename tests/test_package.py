@@ -110,3 +110,37 @@ def test_nothing_imports_scipy(tmp_path):
     assert out.stdout.splitlines() == ["0 []"]
     assert out.stderr.splitlines() == [f"wrote 4 rows to {tmp_path / 'out.csv'}",
                                        f"wrote 66049 rows to {tmp_path / 'big.csv'}"]
+
+
+def test_spot_checks_load_no_numpy_random():
+    # The tdd search draws its starts from the standard library, so a
+    # spot-checked sweep, its forked search processes and a tdd_bruteforce
+    # call load no numpy.random module that importing numpy and the CLI had
+    # not loaded (a NumPy that imports numpy.random eagerly passes). Two
+    # ranges whatever the core count make both sweep stages fork, and each
+    # child reports its own modules as it leaves.
+    script = (
+        "import os, sys\n"
+        "import numpy, diamondqc.cli\n"
+        "loaded = lambda: {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']}\n"
+        "before, parent, exit_ = loaded(), os.getpid(), os._exit\n"
+        "def leave(code):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.write(1, f'child {code} {sorted(loaded() - before)}\\n'.encode())\n"
+        "    exit_(code)\n"
+        "os._exit = leave\n"
+        "from diamondqc import sweep\n"
+        "from diamondqc.oracle import tdd_bruteforce\n"
+        "sweep._ranges = lambda n, unit: [0, n // 2, n]\n"
+        "spec = sweep.SweepSpec(fixed={'gamma': 0.0, 'h_over_J': 0.0, 'Jz_over_J': 0.0},\n"
+        "    axes=(sweep.Axis('J0_over_J', -2.0, 2.0, 5), sweep.Axis('T_over_J', 0.002, 0.05, 3)),\n"
+        "    oracle_check=4)\n"
+        "result = sweep.run_sweep(spec, seed=0)\n"
+        "tdd_bruteforce(numpy.eye(4) / 4.0, seed=0)\n"
+        "print(len(result.diagnostics['oracle']), sorted(loaded() - before), flush=True)\n")
+    src = os.path.dirname(os.path.dirname(diamondqc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["child 0 []", "child 0 []", "4 []"]
