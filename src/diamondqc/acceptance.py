@@ -193,7 +193,7 @@ def check_tdd_bruteforce() -> CheckResult:
               for t in (0.2, 0.5, 0.7, 1.0, 1.5)
               for h in np.linspace(-2.0, 2.0, 20)]
     closed = np.array([correlation_report(state).tdd for state in states])
-    search = _search_states(states, tdd_seed=0)[0]
+    search = _search_states(states, tdd=True, seed=0)[0]
     worst = float(np.max(np.abs(closed - search)))
     passed = worst <= 1e-4
     detail = (f"{len(states)} h-scan states: max |closed - search| = "

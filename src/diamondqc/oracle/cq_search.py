@@ -21,6 +21,13 @@ never interact, so each pair's trajectory and final distance are those
 of a search over that pair alone, and the pairs of one state may be
 searched in different calls, or processes, before `_best_starts` takes
 each state's best.
+
+Before any pair is searched, `_settle` reads each state's eight start
+distances once. A state with a start closer than `_IMPROVE_TOL`, the
+least gain that moves a start, is settled: its value is that distance,
+which lies less than `_IMPROVE_TOL` above the full search's, and none of
+its pairs is searched. States already classical on the first qubit along
+a warm-start axis, diagonal states for one, are settled this way.
 """
 from __future__ import annotations
 
@@ -39,6 +46,8 @@ from ..params import DimerDensityMatrix, check_matrix
 _STEP_CASCADE = (0.35, 0.05, 0.008)
 _MIN_STEP = 1e-7
 _MAX_ITER = 400
+# A poll moves a pair only to a candidate at least this much closer.
+_IMPROVE_TOL = 1e-15
 _DISAGREE_WARN = 1e-3
 # The warm-start measurement axes (theta, phi): z, x, y, and theta = pi/4
 # in the x-z plane. For a state with a real matrix the optimal axis lies
@@ -194,7 +203,7 @@ def _search_pairs(ms: np.ndarray, starts: np.ndarray, a: int = 0,
                 m[:, None], _chi_batch(cands, [pi[:, _POLL_AXES] for pi in pis]))
             best_k = np.argmin(vals, axis=1)
             best_v = vals[np.arange(active.size), best_k]
-            improved = best_v < fs[active] - 1e-15
+            improved = best_v < fs[active] - _IMPROVE_TOL
             moved = active[improved]
             xs[moved] = cands[improved, best_k[improved]]
             fs[moved] = best_v[improved]
@@ -244,6 +253,22 @@ def _starts(states, seed: int):
     return ms, np.concatenate([warm, uniform], axis=1)
 
 
+def _settle(ms: np.ndarray, starts: np.ndarray) -> tuple:
+    """Each state's smallest start distance, shape (S,), and the mask of
+    the states it settles: those with a start closer than `_IMPROVE_TOL`.
+    The distances are `_search_pairs`' first evaluation, bit for bit (the
+    same projection and kernel). No poll moves a settled state's closest
+    start, as its distance would have to fall below 0, and no other start
+    ends lower by as much as `_IMPROVE_TOL`; so a settled state's value
+    is that start's distance, less than `_IMPROVE_TOL` above the full
+    search's, and none of its pairs needs searching."""
+    k = starts.shape[1]
+    fs = trace_norm_diff_batch(np.repeat(ms, k, axis=0),
+                               _chi_batch(_project_batch(starts.reshape(-1, 9))))
+    best = fs.reshape(-1, k).min(axis=1)
+    return best, best < _IMPROVE_TOL
+
+
 def _best_starts(finals: np.ndarray) -> np.ndarray:
     """Each state's best final distance from its (S, k) pair finals.
     Warns, once per state, if a state's two best starts disagree by more
@@ -263,8 +288,12 @@ def tdd_bruteforce(rho, seed: int = 0) -> float:
     (`_starts`): rho dephased along the four `_WARM_AXES`, and four uniform
     draws over the parameter box from `random.Random(seed)`. Deterministic
     for a fixed seed; a seed that is not a non-negative integer or None is
-    refused. Warns if the two best starts disagree by more than 1e-3
-    (possible non-convergence).
+    refused. A state that a start already reproduces (`_settle`) is not
+    searched: its value is that start's distance. Otherwise warns if the
+    two best starts disagree by more than 1e-3 (possible non-convergence).
     """
     ms, starts = _starts([rho], seed)
+    best, settled = _settle(ms, starts)
+    if settled[0]:
+        return float(best[0])
     return float(_best_starts(_search_pairs(ms, starts).reshape(starts.shape[:2]))[0])

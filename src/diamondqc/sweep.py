@@ -384,10 +384,11 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     range. Every row depends on its own coordinates only, so neither the
     chunk shape nor the number of ranges changes the result. Once every
     range is done, the oracle spot checks are searched on every usable
-    core through `_search_states`, the tdd search split by (state, start)
-    pair, and their residuals are taken here; each state's search value is
-    that of a search over it alone, so the diagnostics and the CSV bytes do
-    not depend on the core count either. Each PSD violation is recorded in
+    core through `_search_states`, the tdd search of the states that no
+    start settles split by (state, start) pair, and their residuals are
+    taken here; each state's search value is that of a search over it
+    alone, so the diagnostics and the CSV bytes do not depend on the core
+    count either. Each PSD violation is recorded in
     the diagnostics but the offending row is still reported. A seed that
     is not a non-negative integer is refused, as NumPy's would be.
     """
@@ -432,7 +433,7 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
         entries = thermal_entries_grid(*grid_coords(spec, grids, idxs).T)
         states = [DimerDensityMatrix(*(float(e[i]) for e in entries))
                   for i in range(idxs.size)]
-        tdd, qd = _search_states(states, tdd_seed=seed, qd=True)
+        tdd, qd = _search_states(states, tdd=True, qd=True, seed=seed)
         qd_res = np.abs(table[idxs, 0] - qd)
         tdd_res = np.abs(table[idxs, 1] - tdd)
         diagnostics["oracle"] = [(idx, float(a), float(b)) for idx, a, b
@@ -534,52 +535,64 @@ def _run_ranges(cuts: list, work, collect=None, items: str = "rows") -> None:
                 os.waitpid(pid, 0)
 
 
-def _search_states(states: list, tdd_seed: int = None, qd: bool = False) -> tuple:
+def _search_states(states: list, tdd: bool = False, qd: bool = False,
+                   seed: int = 0) -> tuple:
     """The oracle values of `states`, computed on every usable core: those
-    of `tdd_bruteforce(state, seed=tdd_seed)` unless `tdd_seed` is None,
-    and of `qd_bruteforce(state)` if `qd`, as a pair (tdd, qd) of arrays
-    of len(states) floats, None for a search not asked for.
+    of `tdd_bruteforce(state, seed=seed)` if `tdd` and of
+    `qd_bruteforce(state)` if `qd`, as a pair (tdd, qd) of arrays of
+    len(states) floats, None for a search not asked for. A seed of None
+    draws fresh starts, once, here, so every range searches the same ones.
 
     Every state is validated here first (`DimerDensityMatrix.validate`,
     the input check the search oracles apply to it), so a state they
     refuse raises its ValueError in this process before anything is
-    forked. The work is cut into `_ranges` of its units: the tdd search's
-    (state, start) pairs, 8 per state (`cq_search._search_pairs`), or the
-    states themselves if there is no tdd search. A state's qd search goes
-    to the range that holds its first unit. This process searches the
-    first range and a forked child each other range, each range writing
-    its pairs' final distances and its qd values into one array in a
-    shared anonymous mapping. This process then takes each state's best
-    start (`cq_search._best_starts`), so a warning that the starts of a
-    state disagree is raised here, once per state. No search rule looks
-    past one pair, so the values do not depend on the number of ranges,
-    and with one range nothing is forked. A failed child raises the
-    OSError of `_run_ranges`, naming its range of units.
+    forked. Here too `cq_search._settle` settles the states that a tdd
+    start already reproduces, as `tdd_bruteforce` does, and only the
+    other states' (state, start) pairs, 8 per state
+    (`cq_search._search_pairs`), are cut into `_ranges`; if no pair is
+    left, the qd searches' states are. Range j of the count takes the qd
+    searches of states j * m // count to (j + 1) * m // count of the m
+    states. This process searches the first range and a forked child
+    each other range, each range writing its pairs' final distances and
+    its qd values into one array in a shared anonymous mapping. This
+    process then takes each searched state's best start
+    (`cq_search._best_starts`), so a warning that the starts of a state
+    disagree is raised here, once per searched state. The settle rule
+    reads only a state's own starts and no search rule looks past one
+    pair, so the values do not depend on the number of ranges, and with
+    one range nothing is forked. A failed child raises the OSError of
+    `_run_ranges`, naming its range of units.
     """
     from .oracle import qd_bruteforce
-    from .oracle.cq_search import _best_starts, _search_pairs, _starts
+    from .oracle.cq_search import _best_starts, _search_pairs, _settle, _starts
 
     for state in states:
         state.validate()
     m = len(states)
-    k = 1
-    if tdd_seed is not None:
-        ms, starts = _starts(states, tdd_seed)
+    tdd_values, pairs = None, 0
+    if tdd:
+        ms, starts = _starts(states, seed)
+        tdd_values, settled = _settle(ms, starts)
+        searched = np.flatnonzero(~settled)
+        ms, starts = ms[searched], starts[searched]
         k = starts.shape[1]
-    values = np.ndarray(m * (k + 1), buffer=mmap.mmap(-1, 8 * max(1, m * (k + 1))))
-    finals, qd_values = values[:m * k], values[m * k:]
+        pairs = searched.size * k
+    values = np.ndarray(pairs + m, buffer=mmap.mmap(-1, 8 * max(1, pairs + m)))
+    finals, qd_values = values[:pairs], values[pairs:]
+    cuts = _ranges(pairs or (m if qd else 0), 1)
+    count = len(cuts) - 1
 
-    def search(_, a, b):
-        if tdd_seed is not None:
+    def search(j, a, b):
+        if pairs:
             finals[a:b] = _search_pairs(ms, starts, a, b)
         if qd:
-            for i in range(-(-a // k), -(-b // k)):
+            for i in range(j * m // count, (j + 1) * m // count):
                 qd_values[i] = qd_bruteforce(states[i])
 
-    _run_ranges(_ranges(m * k, 1), search,
-                items="states" if tdd_seed is None else "(state, start) pairs")
-    return (None if tdd_seed is None else _best_starts(finals.reshape(m, k)),
-            qd_values if qd else None)
+    _run_ranges(cuts, search, items="(state, start) pairs" if pairs else "states")
+    if pairs:
+        tdd_values[searched] = _best_starts(finals.reshape(-1, k))
+    return tdd_values, qd_values if qd else None
 
 
 def _append(out_fd: int, fd: int) -> None:

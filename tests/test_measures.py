@@ -267,7 +267,7 @@ class TestVectorized:
         # scales with 1/T is not degenerate: tdd ~ 2e-8 here, |g1| = 4e-8.
         states.append(thermal_state(ModelParams(gamma=0.6, jz=0.3, h=0.35),
                                     ThermalPoint(1e7)))
-        searched = sweep._search_states(states, tdd_seed=0)[0]
+        searched = sweep._search_states(states, tdd=True, seed=0)[0]
         for s, search in zip(states, searched, strict=True):
             assert correlation_report(s).tdd == pytest.approx(search, abs=1e-9)
 

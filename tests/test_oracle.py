@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from diamondqc.measures import correlation_report
 from diamondqc.model import thermal_entries_grid, thermal_state
-from diamondqc.oracle import (FiniteChainSpec, enumerate_reduced_state,
+from diamondqc.oracle import (FiniteChainSpec, cq_search, enumerate_reduced_state,
                               finite_chain_reduced_state, qd_bruteforce,
                               tdd_bruteforce, transfer_spectrum_ratio)
 from diamondqc.oracle.cq_search import (_chi_batch, _project_batch, _search_pairs,
@@ -257,14 +257,12 @@ class TestMeasuredStateSearch:
     (1.5, TypeError), ("3", TypeError), ([1, 2], TypeError)])
 def test_seed_rules(seed, error):
     # The search alone and the spot checks' batch path take a non-negative
-    # integer of any integer type and size, and the search None for fresh
-    # draws (the batch path's tdd_seed=None asks for no tdd search); an
+    # integer of any integer type and size, and None for fresh draws; an
     # integer's draws depend on its value only. A negative seed raises
     # ValueError, and any other type TypeError, a sequence of ints too.
     state = DimerDensityMatrix(0.4, 0.1, 0.3, 0.2, 0.1, 0.05)
-    searches = [lambda: tdd_bruteforce(state, seed)]
-    if seed is not None:
-        searches.append(lambda: float(_search_states([state], tdd_seed=seed)[0][0]))
+    searches = [lambda: tdd_bruteforce(state, seed),
+                lambda: float(_search_states([state], tdd=True, seed=seed)[0][0])]
     for search in searches:
         if error is not None:
             with pytest.raises(error):
@@ -449,3 +447,50 @@ class TestBatchedSearch:
         assert [v.hex() for v in finals.ravel()] == [v.hex() for v in want.ravel()]
         assert [v.hex() for v in alone] == [v.hex() for v in want.min(axis=1)]
         assert (want.argmin(axis=1) >= 4).any()
+
+
+# 1/4 |+><+| x rho0 + 3/4 |-><-| x rho1, with dyadic entries: classical on
+# the first qubit along x, so its x warm start reproduces it.
+X_CLASSICAL = (0.25 * np.kron([[0.5, 0.5], [0.5, 0.5]],
+                              [[0.75, 0.25 - 0.125j], [0.25 + 0.125j, 0.25]])
+               + 0.75 * np.kron([[0.5, -0.5], [-0.5, 0.5]],
+                                [[0.375, -0.125], [-0.125, 0.625]]))
+
+
+def recorded_pair_searches(monkeypatch):
+    """Patch `cq_search._search_pairs` to record how many pairs each call in
+    this process searches; returns the list of counts."""
+    calls, search = [], cq_search._search_pairs
+
+    def record(ms, starts, a=0, b=None):
+        calls.append((ms.shape[0] * starts.shape[1] if b is None else b) - a)
+        return search(ms, starts, a, b)
+
+    monkeypatch.setattr(cq_search, "_search_pairs", record)
+    return calls
+
+
+class TestSettledStates:
+    @pytest.mark.parametrize("state", [DimerDensityMatrix(0.4, 0.1, 0.3, 0.2, 0.0, 0.0),
+                                       X_CLASSICAL], ids=["diagonal", "x-classical"])
+    def test_reproduced_state_is_not_searched(self, monkeypatch, state):
+        # A start that reproduces the state to within the improvement
+        # tolerance settles it: no pair is searched, and its value is the
+        # smallest distance of the search's first evaluation, bit for bit.
+        ms, starts = _starts([state], 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(cq_search, "_STEP_CASCADE", ())
+            first = _search_pairs(ms, starts)
+        assert first.min() < cq_search._IMPROVE_TOL
+        calls = recorded_pair_searches(monkeypatch)
+        assert tdd_bruteforce(state).hex() == first.min().hex()
+        assert calls == []
+
+    def test_nearly_diagonal_state_is_searched(self, monkeypatch):
+        # A coherence of 1e-9 keeps every start some 2e-9 away, far above
+        # the tolerance, so all eight pairs are searched.
+        state = DimerDensityMatrix(0.4, 0.1, 0.3, 0.2, 1e-9, 0.0)
+        calls = recorded_pair_searches(monkeypatch)
+        got = tdd_bruteforce(state)
+        assert calls == [8]
+        assert got == pytest.approx(correlation_report(state).tdd, rel=1e-6)

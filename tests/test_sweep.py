@@ -44,6 +44,21 @@ def full_grid(spec):
                             for name in PARAM_NAMES])
 
 
+def cold_box_states(rows):
+    """The states at the given rows of the 41x41 cold-box sweep: gamma = h =
+    Jz = 0, J0/J in [-2, 2] and T/J in [0.002, 0.05]."""
+    spec = SweepSpec(fixed={"gamma": 0.0, "h_over_J": 0.0, "Jz_over_J": 0.0},
+                     axes=(Axis("J0_over_J", -2.0, 2.0, 41),
+                           Axis("T_over_J", 0.002, 0.05, 41))).validate()
+    entries = thermal_entries_grid(*full_grid(spec)[rows].T)
+    return [DimerDensityMatrix(*(float(e[i]) for e in entries)) for i in range(len(rows))]
+
+
+def settled(states):
+    """Which of the states a tdd search start settles."""
+    return cq_search._settle(*cq_search._starts(states, 0))[1].tolist()
+
+
 def flat_table(spec):
     """The (n, 7) table of a sweep evaluated over the flat coordinate
     columns of `full_grid`, each row from its own coordinates alone."""
@@ -688,7 +703,8 @@ class TestRunSweep:
     def test_failed_search_leaves_no_process(self, monkeypatch, failing):
         # A range whose pair search fails, forked or not, fails the sweep,
         # and every child is reaped; a failed child is named by its range
-        # of (state, start) pairs: six states of eight starts in three ranges.
+        # of (state, start) pairs: six states of eight starts in three ranges
+        # (no start settles any of the six).
         parent, search_pairs = os.getpid(), cq_search._search_pairs
 
         def search_or_fail(*args):
@@ -708,36 +724,91 @@ class TestRunSweep:
 
     @pytest.fixture(scope="class")
     def cold_states_alone(self):
-        """Five cold-box spot-check states, and each one's tdd and qd
-        searched alone in this process."""
-        spec = SweepSpec(fixed={"gamma": 0.0, "h_over_J": 0.0, "Jz_over_J": 0.0},
-                         axes=(Axis("J0_over_J", -2.0, 2.0, 41),
-                               Axis("T_over_J", 0.002, 0.05, 41))).validate()
-        entries = thermal_entries_grid(*full_grid(spec)[::256][:5].T)
-        states = [DimerDensityMatrix(*(float(e[i]) for e in entries)) for i in range(5)]
+        """Seven cold-box states, of which a start settles rows 0 and 1536
+        and not the other five, and each one's tdd and qd searched alone in
+        this process."""
+        states = cold_box_states([0, 640, 704, 768, 1536, 832, 896])
+        assert settled(states) == [True, False, False, False, True, False, False]
         return (states, [diamondqc.oracle.tdd_bruteforce(s) for s in states],
                 [diamondqc.oracle.qd_bruteforce(s) for s in states])
 
     @pytest.mark.parametrize("ranges", [1, 2, 3])
     def test_split_states_search_as_alone(self, monkeypatch, cold_states_alone, ranges):
-        # Five states have 40 (state, start) pairs: two ranges cut state 2's
-        # starts at pair 20, three cut states 1 and 3 at pairs 13 and 26.
-        # Each state's best start is taken in this process from the finals
-        # of both sides, and must equal its search alone bit for bit.
+        # The five searched states have 40 (state, start) pairs: two ranges
+        # cut the third one's starts at pair 20, three cut the second's and
+        # the fourth's at pairs 13 and 26. Each state's best start is taken
+        # in this process from the finals of both sides, and must equal its
+        # search alone bit for bit, as must the settled states' values.
         states, tdd_alone, qd_alone = cold_states_alone
         forked = force_ranges(monkeypatch, ranges)
         assert any(cut % 8 for cut in sweep._ranges(40, 1)) == (ranges > 1)
-        tdd, qd = sweep._search_states(states, tdd_seed=0, qd=True)
+        tdd, qd = sweep._search_states(states, tdd=True, qd=True, seed=0)
         assert len(forked) == ranges - 1
         assert tdd.tolist() == tdd_alone
         assert qd.tolist() == qd_alone
 
+    @pytest.fixture(scope="class")
+    def spot_checks_alone(self):
+        """The seven states a cold-box sweep checks with --oracle-every 256,
+        and each one's tdd and qd searched alone in this process. A start
+        settles five of them (rows 0, 256, 512, 1280 and 1536, where
+        r14 = r23 = 0)."""
+        states = cold_box_states(range(0, 1681, 256))
+        assert settled(states) == [True] * 3 + [False] * 2 + [True] * 2
+        return (states, [diamondqc.oracle.tdd_bruteforce(s) for s in states],
+                [diamondqc.oracle.qd_bruteforce(s) for s in states])
+
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    def test_settled_spot_checks_search_as_alone(self, monkeypatch, spot_checks_alone,
+                                                 ranges):
+        # Only the 16 pairs of rows 768 and 1024 are cut into ranges, and
+        # every state's value, settled or searched, equals its search alone
+        # bit for bit.
+        states, tdd_alone, _ = spot_checks_alone
+        forked = force_ranges(monkeypatch, ranges)
+        tdd = sweep._search_states(states, tdd=True, seed=0)[0]
+        assert len(forked) == ranges - 1
+        assert [v.hex() for v in tdd] == [v.hex() for v in tdd_alone]
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_qd_searches_run_when_every_state_is_settled(
+            self, monkeypatch, spot_checks_alone, ranges):
+        # With no pair left to search, the qd searches' states are cut into
+        # the ranges instead.
+        states, tdd_alone, qd_alone = spot_checks_alone
+        forked = force_ranges(monkeypatch, ranges)
+        tdd, qd = sweep._search_states(states[:3], tdd=True, qd=True, seed=0)
+        assert len(forked) == ranges - 1
+        assert [v.hex() for v in tdd] == [v.hex() for v in tdd_alone[:3]]
+        assert qd.tolist() == qd_alone[:3]
+
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_only_searched_states_warn(self, monkeypatch, spot_checks_alone, ranges):
+        # Below zero, the tolerance makes every searched state warn; a
+        # settled state has no search whose starts could disagree. So the
+        # batch path and the search alone warn for rows 768 and 1024 only.
+        monkeypatch.setattr(cq_search, "_DISAGREE_WARN", -1.0)
+        force_ranges(monkeypatch, ranges)
+        states = spot_checks_alone[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep._search_states(states, tdd=True, seed=0)
+        assert len(caught) == 2
+        alone = []
+        for state in states:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                diamondqc.oracle.tdd_bruteforce(state)
+            alone.append(len(caught))
+        assert alone == [0, 0, 0, 1, 1, 0, 0]
+
     @pytest.mark.parametrize("ranges", [1, 2, 3])
     def test_disagreeing_starts_warn_once_per_state_here(self, monkeypatch, ranges):
-        # Below zero, the tolerance makes every state warn, even one whose
-        # two best starts agree to the bit (as some do on other hosts); each
-        # state's best start is taken in this process, so the sweep warns
-        # here once per spot-check state, whichever range searched its pairs.
+        # Below zero, the tolerance makes every searched state warn, even one
+        # whose two best starts agree to the bit (as some do on other hosts);
+        # no start settles any of these six states, and each state's best
+        # start is taken in this process, so the sweep warns here once per
+        # spot-check state, whichever range searched its pairs.
         monkeypatch.setattr(cq_search, "_DISAGREE_WARN", -1.0)
         force_ranges(monkeypatch, ranges)
         with warnings.catch_warnings(record=True) as caught:
