@@ -56,11 +56,6 @@ _DISAGREE_WARN = 1e-3
 # inputs with complex off-diagonal entries.
 _WARM_AXES = np.array([[0.0, 0.0], [0.5 * np.pi, 0.0],
                        [0.5 * np.pi, 0.5 * np.pi], [0.25 * np.pi, 0.0]])
-# A poll's 22 candidates lie on five axes, numbered as the angles of the
-# poll: 0 the pair's own axis, 1 and 2 theta +- step, 3 and 4 phi +- step.
-# Candidate 2i (2i + 1) moves coordinate i up (down), so the theta and phi
-# moves 0..3 and the coupled moves 18..21 take axes 1..4; the others keep 0.
-_POLL_AXES = np.array([1, 2, 3, 4] + [0] * 14 + [1, 2, 3, 4])
 
 
 def _project_batch(x: np.ndarray) -> np.ndarray:
@@ -88,12 +83,11 @@ def _projectors(thetas: np.ndarray, phis: np.ndarray):
     return pi0, np.eye(2, dtype=complex) - pi0
 
 
-def _chi_batch(vectors: np.ndarray, pis=None) -> np.ndarray:
+def _chi_batch(vectors: np.ndarray) -> np.ndarray:
     """The 4x4 classical-quantum states of a (..., 9) batch of feasible
-    parameter vectors (theta, phi, p, bloch0, bloch1): shape (..., 4, 4).
-    pis is the vectors' `_projectors` pair, if the caller has it."""
+    parameter vectors (theta, phi, p, bloch0, bloch1): shape (..., 4, 4)."""
     v = np.asarray(vectors, dtype=float)
-    pi0, pi1 = _projectors(v[..., 0], v[..., 1]) if pis is None else pis
+    pi0, pi1 = _projectors(v[..., 0], v[..., 1])
 
     def qubit(bloch):
         q = np.empty(bloch.shape[:-1] + (2, 2), dtype=complex)
@@ -120,21 +114,20 @@ def trace_norm_diff_batch(rho: np.ndarray, chis: np.ndarray) -> np.ndarray:
 
 
 def _dephase_batch(rho4: np.ndarray, thetas: np.ndarray,
-                   phis: np.ndarray, pis=None) -> np.ndarray:
+                   phis: np.ndarray) -> np.ndarray:
     """Parameter vectors of each state dephased along its own batch of
     measurement axes.
 
     rho4 holds S states as (S, 2, 2, 2, 2); thetas and phis are (S, k),
-    row s the axes for state s, and pis their `_projectors` pair, if the
-    caller has it. Returns (S, k, 9). Dephasing projects rho onto the
-    classical-quantum family with the given projector pair:
+    row s the axes for state s. Returns (S, k, 9). Dephasing projects rho
+    onto the classical-quantum family with the given projector pair:
     p_i = tr[(Pi_i x I) rho] and sigma_i the normalized B-side block
     tr_A[(Pi_i x I) rho (Pi_i x I)].
     """
     out = np.empty(np.shape(thetas) + (9,))
     out[..., 0] = thetas
     out[..., 1] = phis
-    for pi, j in zip(_projectors(thetas, phis) if pis is None else pis, (3, 6)):
+    for pi, j in zip(_projectors(thetas, phis), (3, 6)):
         # B-side block: tr_A[(Pi x I) rho (Pi x I)][b, d] = rho4[a, b, c, d] Pi[c, a]
         blk = np.einsum("sabcd,sica->sibd", rho4, pi)
         p = np.real(blk[..., 0, 0] + blk[..., 1, 1])
@@ -172,8 +165,7 @@ def _search_pairs(ms: np.ndarray, starts: np.ndarray, a: int = 0,
     refine reliably; the hard direction is the axis itself, and the
     coupled moves let a start travel along the dephasing manifold
     instead of stalling in the narrow curved valley a bare theta step
-    cannot cross. The poll's projector pairs are computed once for each
-    of its five axes (`_POLL_AXES`) and gathered for its candidates.
+    cannot cross.
     """
     k = starts.shape[1]
     b = ms.shape[0] * k if b is None else b
@@ -191,16 +183,10 @@ def _search_pairs(ms: np.ndarray, starts: np.ndarray, a: int = 0,
             st = steps[active]
             cands = np.repeat(xs[active][:, None, :], 22, axis=1)
             cands[:, poll, poll // 2] += np.outer(st, 1 - 2 * (poll % 2))
-            th, ph = xs[active, 0], xs[active, 1]
-            thetas = np.stack([th, th + st, th - st, th, th], axis=1)
-            phis = np.stack([ph, ph, ph, ph + st, ph - st], axis=1)
-            pis = _projectors(thetas, phis)
             cands[:, 18:, :] = _dephase_batch(
-                m.reshape(-1, 2, 2, 2, 2), thetas[:, 1:], phis[:, 1:],
-                [pi[:, 1:] for pi in pis])
+                m.reshape(-1, 2, 2, 2, 2), cands[:, :4, 0], cands[:, :4, 1])
             cands = _project_batch(cands)
-            vals = trace_norm_diff_batch(
-                m[:, None], _chi_batch(cands, [pi[:, _POLL_AXES] for pi in pis]))
+            vals = trace_norm_diff_batch(m[:, None], _chi_batch(cands))
             best_k = np.argmin(vals, axis=1)
             best_v = vals[np.arange(active.size), best_k]
             improved = best_v < fs[active] - _IMPROVE_TOL

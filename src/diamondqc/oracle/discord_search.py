@@ -83,8 +83,8 @@ def qd_bruteforce(rho, n_grid: int = 24, n_refine: int = 6) -> float:
     bt = thetas[k // n_grid]
     bp = phis[k % n_grid]
 
-    wt = np.pi / max(n_grid - 1, 1)
-    wp = 2.0 * np.pi / max(n_grid - 1, 1)
+    wt = np.pi / (n_grid - 1)
+    wp = 2.0 * np.pi / (n_grid - 1)
     for _ in range(n_refine):
         ts = np.linspace(bt - wt, bt + wt, _REFINE_POINTS)
         ps = np.linspace(bp - wp, bp + wp, _REFINE_POINTS)

@@ -543,11 +543,11 @@ def _search_states(states: list, tdd: bool = False, qd: bool = False,
     len(states) floats, None for a search not asked for. A seed of None
     draws fresh starts, once, here, so every range searches the same ones.
 
-    Every state is validated here first (`DimerDensityMatrix.validate`,
-    the input check the search oracles apply to it), so a state they
-    refuse raises its ValueError in this process before anything is
-    forked. Here too `cq_search._settle` settles the states that a tdd
-    start already reproduces, as `tdd_bruteforce` does, and only the
+    Every state is checked once, here, before anything is forked, by the
+    search oracles' own input check (`cq_search._starts`, whichever
+    searches are asked for), so a state they refuse raises its ValueError
+    in this process. Here too `cq_search._settle` settles the states that
+    a tdd start already reproduces, as `tdd_bruteforce` does, and only the
     other states' (state, start) pairs, 8 per state
     (`cq_search._search_pairs`), are cut into `_ranges`; if no pair is
     left, the qd searches' states are. Range j of the count takes the qd
@@ -566,12 +566,10 @@ def _search_states(states: list, tdd: bool = False, qd: bool = False,
     from .oracle import qd_bruteforce
     from .oracle.cq_search import _best_starts, _search_pairs, _settle, _starts
 
-    for state in states:
-        state.validate()
+    ms, starts = _starts(states, seed)
     m = len(states)
     tdd_values, pairs = None, 0
     if tdd:
-        ms, starts = _starts(states, seed)
         tdd_values, settled = _settle(ms, starts)
         searched = np.flatnonzero(~settled)
         ms, starts = ms[searched], starts[searched]
@@ -673,14 +671,15 @@ def prominent_peaks(y, prominence: float) -> np.ndarray:
 def count_peaks(series, prominence: float) -> int:
     """Number of peaks of a sorted (x, y) series whose prominence is at least
     `prominence`; see `prominent_peaks` for the rules, which count a
-    plateau once and never count an end point."""
-    if prominence <= 0:
+    plateau once and never count an end point. A NaN x or prominence is
+    refused as unsorted or not positive."""
+    if not prominence > 0:
         raise ValueError(f"prominence must be positive, got {prominence}")
     pts = np.asarray(series, dtype=float)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points to count peaks, got {len(pts)}")
     xs, ys = pts.T
-    if np.any(np.diff(xs) < 0):
+    if not np.all(np.diff(xs) >= 0):
         raise ValueError("series must be sorted by x")
     return int(prominent_peaks(ys, prominence).size)
 

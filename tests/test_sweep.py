@@ -1,4 +1,5 @@
 """Tests for sweep configuration, execution, and CSV output."""
+import dataclasses
 import errno
 import io
 import math
@@ -657,6 +658,32 @@ class TestRunSweep:
         assert res.header["seed"] == "4"
         assert res.header == run_sweep(spec, seed=4).header
 
+    def test_each_spot_check_state_is_validated_once(self, monkeypatch):
+        # The searches' own input check is the one check of each state,
+        # made in this process: one settled and one searched state.
+        checked, validate = [], DimerDensityMatrix.validate
+
+        def counted(state):
+            checked.append(id(state))
+            return validate(state)
+
+        states = cold_box_states([0, 768])
+        force_ranges(monkeypatch, 1)
+        monkeypatch.setattr(DimerDensityMatrix, "validate", counted)
+        sweep._search_states(states, tdd=True, seed=0)
+        assert checked == [id(s) for s in states]
+
+    def test_invalid_state_of_a_qd_batch_raises_before_any_fork(self, monkeypatch):
+        # A batch of qd searches alone checks its states here too.
+        states = cold_box_states([0, 768])
+        states[1] = dataclasses.replace(states[1], r14=states[1].r14 + 1.0)
+        with pytest.raises(ValueError, match="matrix has eigenvalue") as alone:
+            diamondqc.oracle.qd_bruteforce(states[1])
+        forked = force_ranges(monkeypatch, 2)
+        with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+            sweep._search_states(states, qd=True)
+        assert forked == []
+
     @pytest.fixture(scope="class")
     def spot_checks_in_one_range(self):
         """The oracle diagnostics and header lines of a sweep with six spot
@@ -1276,6 +1303,11 @@ class TestCountPeaks:
             count_peaks(self.series([0, 1]), 0.5)
         with pytest.raises(ValueError, match="sorted"):
             count_peaks([(1.0, 0.0), (0.0, 1.0), (2.0, 0.0)], 0.5)
+        # A NaN passes no order and no threshold.
+        with pytest.raises(ValueError, match="sorted"):
+            count_peaks([(0.0, 0.0), (np.nan, 1.0), (2.0, 0.0)], 0.1)
+        with pytest.raises(ValueError, match="prominence"):
+            count_peaks(self.series([0, 1, 0]), np.nan)
 
 
 class TestConfigFiles:
