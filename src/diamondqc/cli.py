@@ -106,6 +106,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_point(args) -> int:
+    from dataclasses import fields
+
     from .measures import correlation_report
     from .model import thermal_state
     from .params import ModelParams, ThermalPoint
@@ -116,10 +118,8 @@ def _cmd_point(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    keys = ("qd", "tdd", "concurrence", "mutual_info",
-            "entropy_ab", "entropy_a", "d1", "d2")
-    if not _write_stdout("".join(f"{key}=%.12g\n" % getattr(report, key)
-                                 for key in keys)):
+    if not _write_stdout("".join(f"{f.name}=%.12g\n" % getattr(report, f.name)
+                                 for f in fields(report))):
         return EXIT_IO
     return EXIT_OK
 

@@ -218,16 +218,15 @@ def _starts(states, seed: int):
     `_WARM_AXES`, then four uniform draws over the parameter box, the
     same for every state: 36 calls of `random.Random(seed).random()`, in
     row-major order. seed is a non-negative integer (a bool or a NumPy
-    integer too), or None for fresh entropy; a negative seed raises
-    ValueError and any other type TypeError. The first invalid state
-    raises the ValueError of a search on it alone."""
+    integer too); a negative seed raises ValueError and any other type,
+    None included, TypeError. The first invalid state raises the
+    ValueError of a search on it alone."""
     ms = np.array([_density_matrix(r) for r in states],
                   dtype=complex).reshape(-1, 4, 4)
     n_states = ms.shape[0]
-    if seed is not None:
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = random.Random(seed)
     u = np.array([rng.random() for _ in range(36)]).reshape(4, 9)
     lo = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1])
@@ -273,7 +272,7 @@ def tdd_bruteforce(rho, seed: int = 0) -> float:
     a 4x4 array), to the classical-quantum set, searched from eight starts
     (`_starts`): rho dephased along the four `_WARM_AXES`, and four uniform
     draws over the parameter box from `random.Random(seed)`. Deterministic
-    for a fixed seed; a seed that is not a non-negative integer or None is
+    for a fixed seed; a seed that is not a non-negative integer is
     refused. A state that a start already reproduces (`_settle`) is not
     searched: its value is that start's distance. Otherwise warns if the
     two best starts disagree by more than 1e-3 (possible non-convergence).

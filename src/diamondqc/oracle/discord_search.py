@@ -4,10 +4,9 @@ The measured subsystem is the second qubit; the measurement basis is a
 rank-1 projector pair along the Bloch direction (theta, phi). The
 projector pair and the input validation are those of cq_search. The
 post-measurement conditional entropy is scanned on an inclusive
-(theta, phi) grid and then refined by repeatedly re-gridding a shrinking
-box around the incumbent (golden-section shrink factor). Everything is
-deterministic for fixed inputs; the incumbent minimum never increases
-with more grid points or more refinement rounds.
+`_N_GRID` x `_N_GRID` (theta, phi) grid and then refined `_N_REFINE`
+times by re-gridding a shrinking box around the incumbent (golden-section
+shrink factor). Everything is deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -15,6 +14,8 @@ import numpy as np
 
 from .cq_search import _density_matrix, _projectors
 
+_N_GRID = 24
+_N_REFINE = 6
 _SHRINK = 0.382  # golden-section complement
 _REFINE_POINTS = 9
 
@@ -56,16 +57,11 @@ def cond_entropy_grid(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> 
     return out
 
 
-def qd_bruteforce(rho, n_grid: int = 24, n_refine: int = 6) -> float:
+def qd_bruteforce(rho) -> float:
     """Quantum discord = mutual information - maximal classical correlation.
 
     Works on any two-qubit density matrix (4x4), not only X states.
-    n_grid >= 16 is required; n_refine counts the local re-grid rounds.
     """
-    if n_grid < 16:
-        raise ValueError(f"n_grid must be >= 16, got {n_grid}")
-    if n_refine < 0:
-        raise ValueError(f"n_refine must be >= 0, got {n_refine}")
     m = _density_matrix(rho)
 
     rho4 = m.reshape(2, 2, 2, 2)
@@ -75,17 +71,17 @@ def qd_bruteforce(rho, n_grid: int = 24, n_refine: int = 6) -> float:
     s_b = _entropy_bits(np.linalg.eigvalsh(rho_b))
     s_ab = _entropy_bits(np.linalg.eigvalsh(m))
 
-    thetas = np.linspace(0.0, np.pi, n_grid)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_grid)
+    thetas = np.linspace(0.0, np.pi, _N_GRID)
+    phis = np.linspace(0.0, 2.0 * np.pi, _N_GRID)
     grid = cond_entropy_grid(m, thetas, phis)
     k = int(np.argmin(grid))
     best = float(grid.flat[k])
-    bt = thetas[k // n_grid]
-    bp = phis[k % n_grid]
+    bt = thetas[k // _N_GRID]
+    bp = phis[k % _N_GRID]
 
-    wt = np.pi / (n_grid - 1)
-    wp = 2.0 * np.pi / (n_grid - 1)
-    for _ in range(n_refine):
+    wt = np.pi / (_N_GRID - 1)
+    wp = 2.0 * np.pi / (_N_GRID - 1)
+    for _ in range(_N_REFINE):
         ts = np.linspace(bt - wt, bt + wt, _REFINE_POINTS)
         ps = np.linspace(bp - wp, bp + wp, _REFINE_POINTS)
         local = cond_entropy_grid(m, ts, ps)

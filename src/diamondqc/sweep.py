@@ -33,8 +33,7 @@ T_AXIS_FLOOR = 0.02
 
 _CHUNK_SIZE = 1 << 14
 _CSV_BLOCK = 4096
-_TABLE_KEYS = ("qd", "tdd", "concurrence", "mutual_info", "entropy_ab",
-               "eig_min", "psd_flag")
+_TABLE_KEYS = MEASURE_NAMES + ("eig_min", "psd_flag")
 
 # The byte slots of one field written by `_fmt_bytes`, three 8-byte words:
 # a free slot, then the sign, the "0." to "0.000" prefix of -4 <= X <= -1,
@@ -180,11 +179,17 @@ class Axis:
 
     @classmethod
     def from_values(cls, name: str, values) -> "Axis":
-        vals = tuple(float(v) for v in values)
+        vals = []
+        for v in values:
+            try:
+                vals.append(float(v))
+            except (TypeError, ValueError):
+                raise SweepConfigError(f"axis {name}: values must be finite real "
+                                       f"numbers, got {v!r}") from None
         if len(vals) < 2:
             raise SweepConfigError(f"axis {name}: need at least 2 values, got {len(vals)}")
         return cls(name=name, start=min(vals), stop=max(vals),
-                   n_points=len(vals), spacing="values", values=vals)
+                   n_points=len(vals), spacing="values", values=tuple(vals))
 
     def check(self) -> None:
         if self.name not in PARAM_NAMES:
@@ -390,7 +395,7 @@ def run_sweep(spec: SweepSpec, seed: int = 0, label: str = None) -> SweepResult:
     alone, so the diagnostics and the CSV bytes do not depend on the core
     count either. Each PSD violation is recorded in
     the diagnostics but the offending row is still reported. A seed that
-    is not a non-negative integer is refused, as NumPy's would be.
+    is not a non-negative integer is refused before any row is evaluated.
     """
     spec.validate()
     if not isinstance(seed, numbers.Integral):
@@ -491,11 +496,10 @@ def _ranges(n: int, unit: int) -> list:
     return [min(n, k * units // count * unit) for k in range(count)] + [n]
 
 
-def _run_ranges(cuts: list, work, collect=None, items: str = "rows") -> None:
+def _run_ranges(cuts: list, work, items: str = "rows") -> None:
     """Run work(k, a, b) on each range [a, b) between consecutive `cuts`:
     ranges 1.. each in a forked child, then range 0 in this process. The
-    children are reaped in row order, and collect(k) runs here after child
-    k has exited with status 0. A child leaves through os._exit, with
+    children are reaped in row order. A child leaves through os._exit, with
     status 0 once its work is done and 1 on any error, so it runs none of
     the parent's exit handlers and flushes none of its buffers. Every child
     is reaped on every path; a failed child raises OSError naming its range
@@ -527,8 +531,6 @@ def _run_ranges(cuts: list, work, collect=None, items: str = "rows") -> None:
             if status:
                 raise OSError(f"process for {items} {a} to {b} exited with "
                               f"status {os.waitstatus_to_exitcode(status)}")
-            if collect is not None:
-                collect(k)
     finally:
         for pid in pids:
             if pid is not None:
@@ -540,8 +542,7 @@ def _search_states(states: list, tdd: bool = False, qd: bool = False,
     """The oracle values of `states`, computed on every usable core: those
     of `tdd_bruteforce(state, seed=seed)` if `tdd` and of
     `qd_bruteforce(state)` if `qd`, as a pair (tdd, qd) of arrays of
-    len(states) floats, None for a search not asked for. A seed of None
-    draws fresh starts, once, here, so every range searches the same ones.
+    len(states) floats, None for a search not asked for.
 
     Every state is checked once, here, before anything is forked, by the
     search oracles' own input check (`cq_search._starts`, whichever
@@ -610,9 +611,9 @@ def emit_csv(result: SweepResult, path) -> None:
     by `_write_rows` on every usable core: the body is cut at `_CSV_BLOCK`
     boundaries into `_ranges` contiguous row ranges. This process writes
     the first range straight to `path`; each other range is written by a
-    forked child into an unnamed file, which is appended to `path` in row
-    order once the child has exited. The bytes do not depend on the number
-    of writers, and `path` may be a pipe such as /dev/stdout.
+    forked child into an unnamed file, appended to `path` in row order once
+    every child has exited. The bytes do not depend on the number of
+    writers, and `path` may be a pipe such as /dev/stdout.
     """
     spec, table = result.spec, result.table
     fields = _grid_fields(spec)
@@ -632,8 +633,9 @@ def emit_csv(result: SweepResult, path) -> None:
             try:
                 for _ in cuts[2:]:
                     fds.append(os.memfd_create("diamondqc-csv"))
-                _run_ranges(cuts, write,
-                            lambda k: _append(fh.fileno(), fds[k - 1]))
+                _run_ranges(cuts, write)
+                for fd in fds:
+                    _append(fh.fileno(), fd)
             finally:
                 for fd in fds:
                     os.close(fd)
@@ -676,6 +678,8 @@ def count_peaks(series, prominence: float) -> int:
     if not prominence > 0:
         raise ValueError(f"prominence must be positive, got {prominence}")
     pts = np.asarray(series, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"series must be (x, y) pairs, got shape {pts.shape}")
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points to count peaks, got {len(pts)}")
     xs, ys = pts.T

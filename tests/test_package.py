@@ -52,7 +52,7 @@ def test_public_surface_is_frozen():
         "diamondqc.oracle.FiniteChainSpec": ["n_cells", "params", "tp"],
         "diamondqc.oracle.enumerate_reduced_state": chain,
         "diamondqc.oracle.finite_chain_reduced_state": chain,
-        "diamondqc.oracle.qd_bruteforce": ["rho", "n_grid", "n_refine"],
+        "diamondqc.oracle.qd_bruteforce": ["rho"],
         "diamondqc.oracle.tdd_bruteforce": ["rho", "seed"],
         "diamondqc.oracle.transfer_spectrum_ratio": chain,
         "DimerDensityMatrix.from_matrix": ["m"],

@@ -171,6 +171,10 @@ class TestAxis:
     def test_errors(self):
         with pytest.raises(SweepConfigError, match="at least 2"):
             Axis.from_values("T_over_J", (1.0,))
+        for values, bad in (([None, 1], "None"), (["a", 1], "'a'")):
+            with pytest.raises(SweepConfigError, match=f"^axis T_over_J: values must be "
+                               f"finite real numbers, got {bad}$"):
+                Axis.from_values("T_over_J", values)
         with pytest.raises(SweepConfigError, match="unknown parameter"):
             Axis("beta", 0.0, 1.0, 5).check()
         with pytest.raises(SweepConfigError, match="spacing"):
@@ -1308,6 +1312,12 @@ class TestCountPeaks:
             count_peaks([(0.0, 0.0), (np.nan, 1.0), (2.0, 0.0)], 0.1)
         with pytest.raises(ValueError, match="prominence"):
             count_peaks(self.series([0, 1, 0]), np.nan)
+        # Input that is not (x, y) pairs is refused by its shape.
+        with pytest.raises(ValueError,
+                           match=r"^series must be \(x, y\) pairs, got shape \(3,\)$"):
+            count_peaks([1, 2, 3], 0.1)
+        with pytest.raises(ValueError, match=r"got shape \(3, 3\)$"):
+            count_peaks([(0.0, 1.0, 2.0)] * 3, 0.1)
 
 
 class TestConfigFiles:
