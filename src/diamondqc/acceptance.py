@@ -273,7 +273,9 @@ def check_thermal_ridge() -> CheckResult:
 def check_high_temperature() -> CheckResult:
     """Discord persists at moderate T where concurrence is dead, and both
     discords decay below 1e-3 by T/J = 1e4."""
-    params = ModelParams(gamma=0.95, jz=0.0, j0=0.5, h=0.27)
+    fixed = figure_preset("fig2a").fixed
+    params = ModelParams(gamma=fixed["gamma"], jz=fixed["Jz_over_J"], j0=0.5,
+                         h=fixed["h_over_J"])
 
     def report(t):
         return correlation_report(thermal_state(params, ThermalPoint(t)))
@@ -300,7 +302,8 @@ def check_anisotropy() -> list:
     anisotropy grid at T/J = 0.5."""
     spec = figure_preset("fig5")
     gamma = spec.axes[0].grid()
-    entries = thermal_entries_grid(-0.3, 0.5, 0.5, gamma, 0.3)
+    entries = thermal_entries_grid(spec.fixed["J0_over_J"], 0.5, spec.fixed["h_over_J"],
+                                   gamma, spec.fixed["Jz_over_J"])
     vals = x_state_measures(*entries)
 
     asym_detail = []

@@ -48,12 +48,11 @@ _POW10 = np.array([float("1e%d" % k) for k in range(12 + _MAX_E)])
 
 
 def _byte_tables():
-    """The formatter's lookup tables, built with array arithmetic. With
-    e = -X, and "stripped" meaning with trailing zeros turned to NUL:
+    """The formatter's lookup tables. With e = -X, and "stripped" meaning
+    with trailing zeros turned to NUL:
 
     lead    the first word, at ((e * 2 + sign) * 10 + d0) * 2 + 1 if the
-            point is dropped (d1..d11 all zero), else + 0; its set bytes
-            are moved flush right, so byte 0 stays free
+            point is dropped (d1..d11 all zero), else + 0
     quads   four digits k < 10**4 as one uint32 at k, stripped at 10**4 + k
     triples three digits k < 1000 and a NUL as one uint32, stripped
     suffix  the third word with its digit slots empty, at e
@@ -63,28 +62,16 @@ def _byte_tables():
     zeros = np.stack([k % 10 ** j == 0 for j in range(1, 5)]).sum(axis=0, dtype=np.int16)
     quads = np.vstack([digits, np.where(np.arange(4) < 4 - zeros[:, None], digits, 0)])
     triples = np.hstack([quads[10 ** 4:][:1000, 1:], np.zeros((1000, 1), np.int16)])
-    e = np.arange(_MAX_E + 1)[:, None]
-    fixed = (e >= 1) & (e <= 4)
-    prefix = np.where(fixed & (np.arange(5) < e + 1), [48, 46, 48, 48, 48], 0).astype(np.uint8)
-    exponent = np.hstack([e // 100, e // 10 % 10, e % 10]) + 48
-    suffix = np.zeros((e.size, 8), dtype=np.uint8)
-    suffix[:, 3:8] = np.where(e >= 5, np.hstack([
-        np.full_like(e, 101), np.full_like(e, 45),
-        np.where(e >= 100, exponent, np.roll(exponent, -1, axis=1))]), 0)
-    suffix[:, 7] *= e[:, 0] >= 100
-    i = np.arange(5 * 40, dtype=np.int32)  # e <= 4; each e >= 5 reads as e = 0
-    lead = np.zeros((i.size, 8), dtype=np.uint8)
-    lead[:, 0] = i // 20 % 2 * 45
-    lead[:, 1:6] = prefix[i // 40]
-    lead[:, 6] = i // 2 % 10 + 48
-    lead[:, 7] = ~fixed[i // 40, 0] * (i % 2 == 0) * 46
-    lead = np.take_along_axis(lead, np.argsort(lead != 0, axis=1, kind="stable"), axis=1)
-    i = np.arange(e.size * 40)
-    lead = lead[np.where(i < lead.shape[0], i, i % 40)]
-    return (lead.view(np.uint64).ravel(),
+    lead = [((b"-" if sign else b"") + (b"0." + b"0" * (e - 1) if e else b"") + b"%d" % d0
+             + (b"" if e or dropped else b".")).rjust(8, b"\0")
+            for e in range(5) for sign in (0, 1) for d0 in range(10) for dropped in (0, 1)]
+    lead += lead[:40] * (_MAX_E - 4)  # each e >= 5 reads as e = 0
+    suffix = [(b"e-%02d" % e if e >= 5 else b"").ljust(5, b"\0").rjust(8, b"\0")
+              for e in range(_MAX_E + 1)]
+    return (np.frombuffer(b"".join(lead), dtype=np.uint64),
             quads.astype(np.uint8).view(np.uint32).ravel(),
             triples.astype(np.uint8).view(np.uint32).ravel(),
-            suffix.view(np.uint64).ravel())
+            np.frombuffer(b"".join(suffix), dtype=np.uint64))
 
 
 _LEAD, _QUADS, _TRIPLES, _SUFFIX = _byte_tables()
@@ -179,6 +166,9 @@ class Axis:
 
     @classmethod
     def from_values(cls, name: str, values) -> "Axis":
+        if isinstance(values, (str, bytes)) or not np.iterable(values):
+            raise SweepConfigError(f"axis {name}: values must be a sequence of numbers, "
+                                   f"got {values!r}")
         vals = []
         for v in values:
             try:
@@ -677,7 +667,10 @@ def count_peaks(series, prominence: float) -> int:
     refused as unsorted or not positive."""
     if not prominence > 0:
         raise ValueError(f"prominence must be positive, got {prominence}")
-    pts = np.asarray(series, dtype=float)
+    try:
+        pts = np.asarray(series, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("series must be (x, y) pairs of real numbers") from None
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"series must be (x, y) pairs, got shape {pts.shape}")
     if len(pts) < 3:

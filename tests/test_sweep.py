@@ -175,6 +175,11 @@ class TestAxis:
             with pytest.raises(SweepConfigError, match=f"^axis T_over_J: values must be "
                                f"finite real numbers, got {bad}$"):
                 Axis.from_values("T_over_J", values)
+        # A string is not iterated digit by digit, and a bare number is no list.
+        for values, bad in (("12", "'12'"), (5, "5")):
+            with pytest.raises(SweepConfigError, match=f"^axis T_over_J: values must be "
+                               f"a sequence of numbers, got {bad}$"):
+                Axis.from_values("T_over_J", values)
         with pytest.raises(SweepConfigError, match="unknown parameter"):
             Axis("beta", 0.0, 1.0, 5).check()
         with pytest.raises(SweepConfigError, match="spacing"):
@@ -1073,6 +1078,22 @@ class TestCsvOutput:
         got = [row.tobytes().replace(b"\0", b"") for row in text]
         assert got == [("%.12g" % v).encode() for v in values.tolist()]
 
+    def test_every_table_word_reads_as_percent_formatting(self, monkeypatch):
+        # +-0.0, +-d0 * 10**-e and +-(d0 + 1/2) * 10**-e for each leading
+        # digit and each exponent of the array path: every lead word a value
+        # can reach, with the point dropped and kept, and every suffix word.
+        # None of them may fall back on `_fmt`.
+        values = np.array([0.0] + [float("%d%se-%d" % (d0, half, e)) for e in range(291)
+                                   for d0 in range(1, 10) for half in ("", ".5")])
+        values = np.concatenate([values, -values])
+        assert values.size == 10478
+        calls = []
+        monkeypatch.setattr(sweep, "_fmt", lambda v: calls.append(v) or "%.12g" % v)
+        text = sweep._fmt_bytes(values)
+        assert calls == []
+        got = [row.tobytes().replace(b"\0", b"") for row in text]
+        assert got == [("%.12g" % v).encode() for v in values.tolist()]
+
     @pytest.mark.parametrize("name", ["fig2a", "fig2c", "fig3a", "fig4a", "fig5",
                                       "cold-box"])
     def test_few_grid_values_are_formatted_alone(self, monkeypatch, name):
@@ -1318,6 +1339,10 @@ class TestCountPeaks:
             count_peaks([1, 2, 3], 0.1)
         with pytest.raises(ValueError, match=r"got shape \(3, 3\)$"):
             count_peaks([(0.0, 1.0, 2.0)] * 3, 0.1)
+        # Ragged or non-numeric pairs get one line, not NumPy's own error.
+        for series in ([(0, 1), (1, 2, 3), (2, 0)], [("a", 1), (1, 2), (2, 0)]):
+            with pytest.raises(ValueError, match=r"^series must be \(x, y\) pairs[^\n]*$"):
+                count_peaks(series, 0.1)
 
 
 class TestConfigFiles:
